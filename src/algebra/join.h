@@ -26,6 +26,13 @@
 /// the opposite input's watermark. Results are released in start order via
 /// an ordered staging buffer.
 ///
+/// Only state that can still match is stored: an element whose validity
+/// ends at or before the opposite input's watermark overlaps no future
+/// opposite element, so it is not inserted at all — the predicate
+/// `PurgeBefore` would delete it by, applied before instead of after. A
+/// stream joined with a closed relation (opposite watermark +inf) thus keeps
+/// no state on the stream side.
+///
 /// Snapshot semantics: payloads p_l, p_r joined at time t iff both are in
 /// their stream's snapshot at t and the predicate holds — hence the output
 /// element combine(p_l, p_r) with interval l ∩ r.
@@ -138,6 +145,15 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
     NodeDescriptor d = BinaryPipe<L, R, Out>::Describe();
     d.op = std::string(LeftSA::kAreaName) + "-join";
     d.blocking = true;
+    // A residual runs inside the probe rather than as a filter node of its
+    // own; its text is surfaced here so lint output still shows it.
+    if constexpr (requires { left_sa_.residual().ToString(); }) {
+      const std::string residual = left_sa_.residual().ToString();
+      if (!residual.empty()) {
+        d.notes.push_back("residual predicate " + residual +
+                          " is checked per candidate pair inside the probe");
+      }
+    }
     // Replicating by key is only sound when both probe directions are keyed
     // equi-probes — must mirror the `algebra::KeyPartitionable` trait
     // specialization (checked in tests/analysis_test.cc).
@@ -161,7 +177,7 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
       staged_.Push(StreamElement<Out>(combine_(e.payload, r.payload),
                                       e.interval.Intersect(r.interval)));
     });
-    left_sa_.Insert(e);
+    if (e.end() > this->right().watermark()) left_sa_.Insert(e);
     EnforceBudget();
     Flush();
   }
@@ -171,17 +187,18 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
       staged_.Push(StreamElement<Out>(combine_(l.payload, e.payload),
                                       l.interval.Intersect(e.interval)));
     });
-    right_sa_.Insert(e);
+    if (e.end() > this->left().watermark()) right_sa_.Insert(e);
     EnforceBudget();
     Flush();
   }
 
   /// Columnar kernels: probe the whole run against the opposite SweepArea,
-  /// then bulk-insert it and flush once. Probing everything before inserting
-  /// is equivalent to the per-element interleave — a run's elements go into
-  /// their *own* side's area, which its probes never touch. Under an active
-  /// memory limit the kernels fall back to the per-element path so shedding
-  /// decisions (which depend on the interleave) are bit-identical.
+  /// then insert its still-matchable elements and flush once. Probing
+  /// everything before inserting is equivalent to the per-element
+  /// interleave — a run's elements go into their *own* side's area, which
+  /// its probes never touch. Under an active memory limit the kernels fall
+  /// back to the per-element path so shedding decisions (which depend on
+  /// the interleave) are bit-identical.
   void OnRunLeft(const ColumnarRun<L>& run) override {
     if (ShedActive()) {
       for (std::size_t i = 0; i < run.size(); ++i) {
@@ -194,7 +211,7 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
           combine_(run.payloads[i], r.payload),
           TimeInterval(run.starts[i], run.ends[i]).Intersect(r.interval)));
     });
-    left_sa_.InsertRun(run);
+    InsertLive(left_sa_, run, this->right().watermark());
     // Spill rides the columnar path: one budget check per run (bounded
     // overshoot of one run) keeps the kernel zero-copy.
     if constexpr (kSpillable) EnforceBudget();
@@ -213,7 +230,7 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
           combine_(l.payload, run.payloads[i]),
           l.interval.Intersect(TimeInterval(run.starts[i], run.ends[i]))));
     });
-    right_sa_.InsertRun(run);
+    InsertLive(right_sa_, run, this->left().watermark());
     if constexpr (kSpillable) EnforceBudget();
     Flush();
   }
@@ -250,6 +267,16 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
   }
 
  private:
+  /// Inserts the run's elements that can still match: those whose validity
+  /// ends after the opposite input's watermark (see the file comment).
+  template <typename SA, typename T>
+  static void InsertLive(SA& area, const ColumnarRun<T>& run,
+                         Timestamp opposite_watermark) {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (run.ends[i] > opposite_watermark) area.Insert(run.ElementAt(i));
+    }
+  }
+
   /// True when the memory limit can actually trigger eviction.
   bool ShedActive() const {
     return shed_policy_ != ShedPolicy::kNone &&
@@ -363,17 +390,22 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
 // `QueryGraph::Add(MakeHashJoin(...))` to put the result in a graph.
 
 /// Equi-join on `key_l(l) == key_r(r)` with hash SweepAreas on both sides.
+/// The optional `residual(l, r)` filters each candidate pair of a key
+/// bucket inside the probe, before `combine` runs.
 template <typename L, typename R, typename KeyL, typename KeyR,
-          typename Combine>
+          typename Combine, typename Residual = sweeparea::TruePredicate>
 auto MakeHashJoin(KeyL key_l, KeyR key_r, Combine combine,
-                  std::string name = "hash-join") {
+                  std::string name = "hash-join",
+                  Residual residual = Residual()) {
   using Out = std::decay_t<std::invoke_result_t<Combine, const L&, const R&>>;
-  using LeftSA = sweeparea::HashSweepArea<L, R, KeyL, KeyR>;
-  using RightSA = sweeparea::HashSweepArea<R, L, KeyR, KeyL>;
+  using LeftSA = sweeparea::HashSweepArea<L, R, KeyL, KeyR, Residual>;
+  using RightSA = sweeparea::HashSweepArea<R, L, KeyR, KeyL,
+                                           sweeparea::Flipped<Residual>>;
   return std::make_unique<
       TemporalJoin<L, R, Out, LeftSA, RightSA, Combine>>(
-      LeftSA(key_l, key_r), RightSA(key_r, key_l), std::move(combine),
-      std::move(name));
+      LeftSA(key_l, key_r, residual),
+      RightSA(key_r, key_l, sweeparea::Flipped<Residual>{residual}),
+      std::move(combine), std::move(name));
 }
 
 /// Lossless equi-join under bounded RAM: hash SweepAreas that page cold
@@ -398,14 +430,12 @@ template <typename L, typename R, typename Pred, typename Combine>
 auto MakeNestedLoopsJoin(Pred pred, Combine combine,
                          std::string name = "nl-join") {
   using Out = std::decay_t<std::invoke_result_t<Combine, const L&, const R&>>;
-  // The stored/probe argument order differs per side: normalize to (l, r).
-  auto pred_lr = [pred](const L& l, const R& r) { return pred(l, r); };
-  auto pred_rl = [pred](const R& r, const L& l) { return pred(l, r); };
-  using LeftSA = sweeparea::ListSweepArea<L, R, decltype(pred_lr)>;
-  using RightSA = sweeparea::ListSweepArea<R, L, decltype(pred_rl)>;
+  using LeftSA = sweeparea::ListSweepArea<L, R, Pred>;
+  using RightSA = sweeparea::ListSweepArea<R, L, sweeparea::Flipped<Pred>>;
   return std::make_unique<
       TemporalJoin<L, R, Out, LeftSA, RightSA, Combine>>(
-      LeftSA(pred_lr), RightSA(pred_rl), std::move(combine), std::move(name));
+      LeftSA(pred), RightSA(sweeparea::Flipped<Pred>{pred}),
+      std::move(combine), std::move(name));
 }
 
 /// Band join: |key_l(l) - key_r(r)| <= band, with tree SweepAreas.

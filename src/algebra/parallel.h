@@ -57,22 +57,24 @@ struct KeyPartitionable<PartitionedWindow<T, KeyFn>> : std::true_type {};
 
 /// Equi-joins (hash SweepAreas on both sides) keyed on the join attribute:
 /// matching pairs co-locate when both inputs partition by their join keys
-/// under the same hash. Theta/band joins (list/tree SweepAreas) stay false:
-/// a pair can match across partition boundaries.
+/// under the same hash. A residual predicate only filters pairs within one
+/// key bucket, so any residual keeps that property. Theta/band joins
+/// (list/tree SweepAreas) stay false: a pair can match across partition
+/// boundaries.
 template <typename L, typename R, typename Out, typename KeyL, typename KeyR,
-          typename Combine>
+          typename ResL, typename ResR, typename Combine>
 struct KeyPartitionable<
-    TemporalJoin<L, R, Out, sweeparea::HashSweepArea<L, R, KeyL, KeyR>,
-                 sweeparea::HashSweepArea<R, L, KeyR, KeyL>, Combine>>
+    TemporalJoin<L, R, Out, sweeparea::HashSweepArea<L, R, KeyL, KeyR, ResL>,
+                 sweeparea::HashSweepArea<R, L, KeyR, KeyL, ResR>, Combine>>
     : std::true_type {};
 
 /// The spillable variant is keyed the same way: spilled runs hold only
 /// this replica's keys, so state stays disjoint across replicas.
 template <typename L, typename R, typename Out, typename KeyL, typename KeyR,
-          typename Combine>
+          typename ResL, typename ResR, typename Combine>
 struct KeyPartitionable<TemporalJoin<
-    L, R, Out, sweeparea::SpillableHashSweepArea<L, R, KeyL, KeyR>,
-    sweeparea::SpillableHashSweepArea<R, L, KeyR, KeyL>, Combine>>
+    L, R, Out, sweeparea::SpillableHashSweepArea<L, R, KeyL, KeyR, ResL>,
+    sweeparea::SpillableHashSweepArea<R, L, KeyR, KeyL, ResR>, Combine>>
     : std::true_type {};
 
 // --- Replicated-stage handles ----------------------------------------------
@@ -185,12 +187,14 @@ auto MakeKeyedParallel(QueryGraph& graph, std::size_t n, KeyFn key_fn,
 ///
 /// The two key extractors must yield the same key type (as the hash join
 /// itself requires): partitioning relies on hash(key_l(l)) == hash(key_r(r))
-/// whenever the keys are equal.
+/// whenever the keys are equal. `residual` is passed to every replica
+/// (`MakeHashJoin`).
 template <typename L, typename R, typename KeyL, typename KeyR,
-          typename Combine>
+          typename Combine, typename Residual = sweeparea::TruePredicate>
 auto MakeParallelHashJoin(QueryGraph& graph, std::size_t n, KeyL key_l,
                           KeyR key_r, Combine combine,
-                          std::string name = "hash-join") {
+                          std::string name = "hash-join",
+                          Residual residual = Residual()) {
   static_assert(
       std::is_same_v<std::decay_t<std::invoke_result_t<KeyL, const L&>>,
                      std::decay_t<std::invoke_result_t<KeyR, const R&>>>,
@@ -215,7 +219,8 @@ auto MakeParallelHashJoin(QueryGraph& graph, std::size_t n, KeyL key_l,
     auto& lbuf = graph.Add<ConcurrentBuffer<L>>(name + "-in-l" + suffix);
     auto& rbuf = graph.Add<ConcurrentBuffer<R>>(name + "-in-r" + suffix);
     auto& join =
-        graph.Add(MakeHashJoin<L, R>(key_l, key_r, combine, name + suffix));
+        graph.Add(MakeHashJoin<L, R>(key_l, key_r, combine, name + suffix,
+                                     residual));
     static_assert(
         KeyPartitionable<
             std::remove_reference_t<decltype(join)>>::value,

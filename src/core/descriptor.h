@@ -102,8 +102,9 @@ struct NodeDescriptor {
   /// analysis needs back.
   std::vector<std::vector<const Node*>> output_subscribers;
 
-  /// Foot-gun notes the node wants surfaced (e.g. a bounded buffer that
-  /// sheds elements). Reported by the lint rule for foot-gun APIs.
+  /// Notes the node wants surfaced (e.g. a bounded buffer that sheds
+  /// elements, or the residual predicate a join checks inside its probe).
+  /// Reported by the lint rule for foot-gun APIs (P016).
   std::vector<std::string> notes;
 
   /// Non-empty when the node was built through a deprecated API; the text

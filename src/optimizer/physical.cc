@@ -260,16 +260,7 @@ Result<Source<Tuple>*> PhysicalBuilder::BuildNode(
           Source<Tuple>* right,
           BuildNode(plan->children[1], registry, stats, used_postorder,
                     used_set));
-      Source<Tuple>* join_out = nullptr;
-      if (!plan->equi_keys.empty()) {
-        FieldsKey left_key;
-        FieldsKey right_key;
-        for (const auto& [l, r] : plan->equi_keys) {
-          left_key.fields.push_back(l);
-          right_key.fields.push_back(r);
-        }
-        auto join = algebra::MakeHashJoin<Tuple, Tuple>(
-            left_key, right_key, TupleConcatCombine{}, "hash-join");
+      auto wire = [&](auto join) {
         auto& node = graph_->Add(std::move(join));
         left->AddSubscriber(node.left());
         right->AddSubscriber(node.right());
@@ -281,38 +272,30 @@ Result<Source<Tuple>*> PhysicalBuilder::BuildNode(
         entry.disconnects.push_back([right, op = &node]() {
           return right->UnsubscribeFrom(op->right());
         });
-        join_out = &node;
-        if (plan->predicate != nullptr) {
-          auto& residual =
-              graph_->Add<algebra::Filter<Tuple, ExprPredicate>>(
-                  ExprPredicate{plan->predicate}, "join-residual");
-          join_out->AddSubscriber(residual.input());
-          ++stats->operators_created;
-          entry.nodes.push_back(&residual);
-          Source<Tuple>* raw = join_out;
-          entry.disconnects.push_back([raw, op = &residual]() {
-            return raw->UnsubscribeFrom(op->input());
-          });
-          join_out = &residual;
-        }
-      } else {
-        auto join = algebra::MakeNestedLoopsJoin<Tuple, Tuple>(
-            ConcatPredicate{plan->predicate}, TupleConcatCombine{},
-            plan->predicate == nullptr ? "cross-join" : "nl-join");
-        auto& node = graph_->Add(std::move(join));
-        left->AddSubscriber(node.left());
-        right->AddSubscriber(node.right());
-        ++stats->operators_created;
-        entry.nodes.push_back(&node);
-        entry.disconnects.push_back([left, op = &node]() {
-          return left->UnsubscribeFrom(op->left());
-        });
-        entry.disconnects.push_back([right, op = &node]() {
-          return right->UnsubscribeFrom(op->right());
-        });
-        join_out = &node;
+        entry.output = &node;
+      };
+      const ConcatPredicate predicate{plan->predicate};
+      if (plan->equi_keys.empty()) {
+        wire(algebra::MakeNestedLoopsJoin<Tuple, Tuple>(
+            predicate, TupleConcatCombine{},
+            predicate.expr == nullptr ? "cross-join" : "nl-join"));
+        break;
       }
-      entry.output = join_out;
+      FieldsKey left_key;
+      FieldsKey right_key;
+      for (const auto& [l, r] : plan->equi_keys) {
+        left_key.fields.push_back(l);
+        right_key.fields.push_back(r);
+      }
+      // The rest of the predicate is the hash join's residual, checked
+      // inside the probe: rejected pairs are never concatenated or staged.
+      // The name shows it the way a filter's name shows its predicate.
+      wire(algebra::MakeHashJoin<Tuple, Tuple>(
+          left_key, right_key, TupleConcatCombine{},
+          predicate.expr == nullptr
+              ? "hash-join"
+              : "hash-join[" + predicate.ToString() + "]",
+          predicate));
       break;
     }
 

@@ -63,13 +63,18 @@ struct TupleConcatCombine {
   }
 };
 
-/// Theta-join predicate evaluated over the concatenated pair.
+/// Theta-join predicate evaluated over the concatenated pair; also the
+/// residual of a hash join, checked inside its SweepAreas' probes.
 struct ConcatPredicate {
   relational::ExprPtr expr;  // null = cross product
   bool operator()(const relational::Tuple& l,
                   const relational::Tuple& r) const {
     if (expr == nullptr) return true;
     return expr->Eval(l.Concat(r)).Truthy();
+  }
+  /// The predicate's text; empty for a cross product.
+  std::string ToString() const {
+    return expr == nullptr ? std::string() : expr->ToString();
   }
 };
 

@@ -18,7 +18,8 @@
 /// \file
 /// Hash-based SweepArea for equi-joins: stored elements are bucketed by
 /// key, probes touch exactly one bucket. An optional residual predicate
-/// supports mixed equi/theta conditions.
+/// supports mixed equi/theta conditions: it is checked per candidate pair
+/// inside the probe, so a rejected pair is never combined or staged.
 
 namespace pipes::sweeparea {
 
@@ -59,14 +60,6 @@ class HashSweepArea {
           residual_(stored.payload, probe.payload)) {
         emit(stored);
       }
-    }
-  }
-
-  /// Columnar bulk insert: one pass over the columns, no intermediate AoS
-  /// batch.
-  void InsertRun(const ColumnarRun<Stored>& run) {
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      Insert(run.ElementAt(i));
     }
   }
 
@@ -135,6 +128,9 @@ class HashSweepArea {
 
   std::size_t size() const { return count_; }
   std::size_t ApproxBytes() const { return bytes_; }
+
+  /// The pair filter applied inside every probe (describing the join).
+  const Residual& residual() const { return residual_; }
 
  private:
   struct Expiry {

@@ -44,13 +44,6 @@ class ListSweepArea {
     }
   }
 
-  /// Columnar bulk insert.
-  void InsertRun(const ColumnarRun<Stored>& run) {
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      Insert(run.ElementAt(i));
-    }
-  }
-
   /// Columnar bulk probe: `emit(probe_index, stored)` per match, in probe
   /// order (each probe scans the whole list, as in `Query`).
   template <typename Emit>

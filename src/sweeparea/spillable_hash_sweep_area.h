@@ -82,10 +82,6 @@ class SpillableHashSweepArea {
     MaybeStagePending(probe);
   }
 
-  void InsertRun(const ColumnarRun<Stored>& run) {
-    for (std::size_t i = 0; i < run.size(); ++i) Insert(run.ElementAt(i));
-  }
-
   template <typename Emit>
   void QueryRun(const ColumnarRun<Probe>& run, Emit&& emit) {
     const std::size_t n = run.size();

@@ -50,6 +50,18 @@ struct TruePredicate {
   }
 };
 
+/// `pred` with its two arguments swapped. A join states its predicate as
+/// `pred(l, r)`; the area that stores R and is probed by L calls it as
+/// `(stored, probe)` = `(r, l)`, so that side holds the flipped form.
+template <typename Pred>
+struct Flipped {
+  Pred pred;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return pred(b, a);
+  }
+};
+
 }  // namespace pipes::sweeparea
 
 #endif  // PIPES_SWEEPAREA_SWEEP_AREA_H_

@@ -920,17 +920,10 @@ Result<Source<Tuple>*> ParallelBuild(QueryGraph& graph,
       }
       auto chain = algebra::MakeParallelHashJoin<Tuple, Tuple>(
           graph, kReplicas, left_key, right_key, TupleConcatCombine{},
-          "parallel-hash-join");
+          "parallel-hash-join", optimizer::ConcatPredicate{plan->predicate});
       left->AddSubscriber(*chain.left);
       right->AddSubscriber(*chain.right);
-      Source<Tuple>* out = chain.output;
-      if (plan->predicate != nullptr) {
-        auto& residual = graph.Add<algebra::Filter<Tuple, ExprPredicate>>(
-            ExprPredicate{plan->predicate}, "join-residual");
-        out->AddSubscriber(residual.input());
-        out = &residual;
-      }
-      return out;
+      return chain.output;
     }
 
     case LogicalOp::Kind::kGroupAggregate: {

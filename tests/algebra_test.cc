@@ -250,6 +250,184 @@ TEST(Join, LoadSheddingRespectsMemoryLimitAndCounts) {
   (void)sink;
 }
 
+// --- Join state holds only what can still match -----------------------------
+// An element whose validity ends at or before the opposite watermark is
+// never stored (the predicate PurgeBefore would delete it by). Checked for
+// every SweepArea kind on the per-element, columnar and shedding paths.
+
+/// A source staged by hand: elements one at a time or as one columnar run.
+class StagedSource : public Source<int> {
+ public:
+  explicit StagedSource(std::string name) : Source<int>(std::move(name)) {}
+
+  void Emit(const std::vector<StreamElement<int>>& elements, bool as_run) {
+    if (as_run) {
+      ColumnarRun<int> run;
+      for (const StreamElement<int>& e : elements) run.Append(e);
+      TransferRun(std::move(run));
+    } else {
+      for (const StreamElement<int>& e : elements) Transfer(e);
+    }
+  }
+  void EmitHeartbeat(Timestamp t) { TransferHeartbeat(t); }
+  void EmitDone() { TransferDone(); }
+};
+
+struct IntKey {
+  int operator()(const int& v) const { return v; }
+};
+struct SameInt {
+  bool operator()(const int& l, const int& r) const { return l == r; }
+};
+struct PairCode {
+  int operator()(const int& l, const int& r) const { return l * 1000 + r; }
+};
+
+struct HashJoinKind {
+  static auto Make() {
+    return MakeHashJoin<int, int>(IntKey{}, IntKey{}, PairCode{});
+  }
+};
+struct NestedLoopsJoinKind {
+  static auto Make() {
+    return MakeNestedLoopsJoin<int, int>(SameInt{}, PairCode{});
+  }
+};
+struct BandJoinKind {
+  static auto Make() {
+    return MakeBandJoin<int, int>(IntKey{}, IntKey{}, /*band=*/0, PairCode{});
+  }
+};
+struct SpillableHashJoinKind {
+  static auto Make() {
+    return MakeSpillableHashJoin<int, int>(IntKey{}, IntKey{}, PairCode{});
+  }
+};
+
+enum class JoinPath { kPerElement, kColumnar, kShed };
+
+/// One join between two staged sources, on one delivery path.
+template <typename Kind>
+struct StagedJoin {
+  explicit StagedJoin(JoinPath delivery)
+      : path(delivery),
+        left(graph.Add<StagedSource>("left")),
+        right(graph.Add<StagedSource>("right")),
+        join(graph.Add(Kind::Make())),
+        sink(graph.Add<CollectorSink<int>>()) {
+    left.AddSubscriber(join.left());
+    right.AddSubscriber(join.right());
+    join.AddSubscriber(sink.input());
+    if (path == JoinPath::kShed) {
+      // A finite limit far above the state: the shedding path is active
+      // (per-element fallback) but never evicts.
+      join.set_shed_policy(ShedPolicy::kEvictFromLargerArea);
+      join.SetMemoryLimit(std::size_t{1} << 30);
+    }
+  }
+
+  void EmitLeft(const std::vector<StreamElement<int>>& elements) {
+    left.Emit(elements, path == JoinPath::kColumnar);
+  }
+  void EmitRight(const std::vector<StreamElement<int>>& elements) {
+    right.Emit(elements, path == JoinPath::kColumnar);
+  }
+
+  JoinPath path;
+  QueryGraph graph;
+  StagedSource& left;
+  StagedSource& right;
+  std::remove_reference_t<decltype(*Kind::Make())>& join;
+  CollectorSink<int>& sink;
+};
+
+template <typename Kind>
+class JoinStateTest : public ::testing::Test {};
+using JoinKinds = ::testing::Types<HashJoinKind, NestedLoopsJoinKind,
+                                   BandJoinKind, SpillableHashJoinKind>;
+TYPED_TEST_SUITE(JoinStateTest, JoinKinds);
+
+const JoinPath kJoinPaths[] = {JoinPath::kPerElement, JoinPath::kColumnar,
+                               JoinPath::kShed};
+
+// Each delivery starts at its side's current watermark, so it raises no
+// progress and triggers no purge: whatever the join stored is still there
+// when the state sizes are read.
+
+TYPED_TEST(JoinStateTest, ClosedOppositeSideMeansNoStateAndAllMatches) {
+  for (const JoinPath path : kJoinPaths) {
+    SCOPED_TRACE(static_cast<int>(path));
+    // A closed relation on the right: rows 1..4, valid forever.
+    StagedJoin<TypeParam> j(path);
+    std::vector<StreamElement<int>> rows;
+    for (int k = 1; k <= 4; ++k) rows.emplace_back(k, 0, kMaxTimestamp);
+    j.EmitRight(rows);
+    j.right.EmitDone();
+    EXPECT_EQ(j.join.right_state_size(), 4u);
+
+    // Events probe it; none is ever stored.
+    std::vector<StreamElement<int>> expected;
+    for (Timestamp t = 1; t <= 3; ++t) {
+      j.left.EmitHeartbeat(t);
+      std::vector<StreamElement<int>> events;
+      for (int key = 1; key <= 5; ++key) {  // key 5 has no row
+        events.push_back(StreamElement<int>(key, t, t + 10));
+        if (key <= 4) expected.emplace_back(key * 1001, t, t + 10);
+      }
+      j.EmitLeft(events);
+      EXPECT_EQ(j.join.left_state_size(), 0u);
+    }
+    j.left.EmitDone();
+    EXPECT_TRUE(j.sink.done());
+    EXPECT_EQ(Sorted(j.sink.elements()), Sorted(expected));
+  }
+}
+
+TYPED_TEST(JoinStateTest, ClosedLeftSideMirrorsTheRule) {
+  for (const JoinPath path : kJoinPaths) {
+    SCOPED_TRACE(static_cast<int>(path));
+    StagedJoin<TypeParam> j(path);
+    j.EmitLeft({StreamElement<int>(7, 0, kMaxTimestamp)});
+    j.left.EmitDone();
+    j.right.EmitHeartbeat(3);
+    j.EmitRight({StreamElement<int>(7, 3, 9), StreamElement<int>(8, 3, 9),
+                 StreamElement<int>(7, 3, 5)});
+    EXPECT_EQ(j.join.right_state_size(), 0u);
+    EXPECT_EQ(j.join.left_state_size(), 1u);
+    j.right.EmitDone();
+    EXPECT_EQ(Sorted(j.sink.elements()),
+              (std::vector<StreamElement<int>>{StreamElement<int>(7007, 3, 5),
+                                               StreamElement<int>(7007, 3, 9)}));
+  }
+}
+
+TYPED_TEST(JoinStateTest, StreamStreamStoresOnlyElementsOutlivingTheWatermark) {
+  for (const JoinPath path : kJoinPaths) {
+    SCOPED_TRACE(static_cast<int>(path));
+    StagedJoin<TypeParam> j(path);
+    j.right.EmitHeartbeat(20);  // no right element will start before 20
+    j.left.EmitHeartbeat(5);
+    // [5, 20) ends at the right watermark: it overlaps no future right
+    // element. [5, 25) ends after it and still can.
+    j.EmitLeft({StreamElement<int>(1, 5, 20), StreamElement<int>(1, 5, 25)});
+    EXPECT_EQ(j.join.left_state_size(), 1u);
+
+    j.left.EmitHeartbeat(30);
+    j.right.EmitHeartbeat(22);
+    j.EmitRight({StreamElement<int>(1, 22, 40), StreamElement<int>(2, 22, 30),
+                 StreamElement<int>(1, 22, 35)});
+    // Against the left watermark 30: [22, 30) is not stored, the others
+    // are.
+    EXPECT_EQ(j.join.right_state_size(), 2u);
+
+    j.left.EmitDone();
+    j.right.EmitDone();
+    EXPECT_EQ(j.sink.elements(),
+              (std::vector<StreamElement<int>>{StreamElement<int>(1001, 22, 25),
+                                               StreamElement<int>(1001, 22, 25)}));
+  }
+}
+
 TEST(Aggregate, SumOverlappingIntervals) {
   QueryGraph graph;
   // [0,10) value 1; [5,15) value 2 -> segments [0,5)=1, [5,10)=3, [10,15)=2.

@@ -206,10 +206,18 @@ TEST(Descriptors, KeyPartitionableMatchesTrait) {
             algebra::KeyPartitionable<HashJoin>::value);
   EXPECT_TRUE(hash_join->Describe().key_partitionable);
 
-  // Theta joins (list sweep areas) must stay non-partitionable.
+  // A residual only filters pairs within one key bucket: still keyed.
   struct LessThan {
     bool operator()(const int& l, const int& r) const { return l < r; }
   };
+  auto residual_join = algebra::MakeHashJoin<int, int>(
+      IntKey{}, IntKey{}, Combine{}, "hj-residual", LessThan{});
+  using ResidualJoin = std::decay_t<decltype(*residual_join)>;
+  EXPECT_EQ(residual_join->Describe().key_partitionable,
+            algebra::KeyPartitionable<ResidualJoin>::value);
+  EXPECT_TRUE(residual_join->Describe().key_partitionable);
+
+  // Theta joins (list sweep areas) must stay non-partitionable.
   auto theta = algebra::MakeNestedLoopsJoin<int, int>(LessThan{}, Combine{},
                                                       "theta");
   using ThetaJoin = std::decay_t<decltype(*theta)>;
@@ -250,6 +258,27 @@ TEST(LintPlan, UnboundedDistinctTriggersP006) {
   ASSERT_TRUE(diags.ok()) << diags.status().ToString();
   EXPECT_FALSE(OfRule(diags.value(), "P006").empty())
       << ToText(diags.value());
+}
+
+/// A hash join's residual predicate runs inside the join, not in a filter
+/// node of its own; lint still shows its text, as a note on the join.
+TEST(LintPlan, JoinResidualIsNotedOnTheJoin) {
+  WindowSpec range;
+  range.kind = WindowKind::kRange;
+  range.range = 1000;
+  auto plan = optimizer::JoinOp(
+      optimizer::ScanOp("bids", BidSchema(), range),
+      optimizer::ScanOp("bids", BidSchema(), range), {{0, 0}},
+      MakeBinary(relational::BinaryOp::kLt, MakeField(2, "price"),
+                 MakeField(5, "price")));
+  auto diags = LintPlan(plan);
+  ASSERT_TRUE(diags.ok()) << diags.status().ToString();
+  const std::vector<Diagnostic> notes = OfRule(diags.value(), "P016");
+  ASSERT_EQ(notes.size(), 1u) << ToText(diags.value());
+  const std::string predicate = plan->predicate->ToString();
+  EXPECT_EQ(notes[0].node, "hash-join[" + predicate + "]");
+  EXPECT_NE(notes[0].message.find(predicate), std::string::npos)
+      << notes[0].message;
 }
 
 /// The parity contract: linting a plan in memory and linting its XML

@@ -243,6 +243,41 @@ TEST_F(EndToEnd, StreamJoinQueryMatchesBiddersToCities) {
   EXPECT_EQ(sink.elements()[1].payload.field(1).AsString(), "Marburg");
 }
 
+TEST_F(EndToEnd, JoinResidualRunsInsideTheHashJoin) {
+  PlanManager manager(&graph_, &catalog_);
+  auto installed = manager.InstallQuery(
+      "SELECT b.price, p.city FROM bids [RANGE 1 HOURS] AS b, persons "
+      "[UNBOUNDED] AS p WHERE b.bidder = p.id AND b.price > p.id * 2.0");
+  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  auto& sink = graph_.Add<CollectorSink<Tuple>>();
+  installed->output->AddSubscriber(sink.input());
+
+  // No filter node: the residual belongs to the join, whose name and
+  // descriptor notes show the predicate text.
+  const Node* join = nullptr;
+  for (const Node* node : graph_.nodes()) {
+    EXPECT_NE(node->Describe().op, "filter") << node->name();
+    if (node->Describe().op == "hash-join") join = node;
+  }
+  ASSERT_NE(join, nullptr);
+  const std::string prefix = "hash-join[";
+  ASSERT_EQ(join->name().rfind(prefix, 0), 0u) << join->name();
+  const std::string predicate = join->name().substr(
+      prefix.size(), join->name().size() - prefix.size() - 1);
+  const NodeDescriptor desc = join->Describe();
+  ASSERT_EQ(desc.notes.size(), 1u);
+  EXPECT_NE(desc.notes[0].find(predicate), std::string::npos)
+      << desc.notes[0];
+  EXPECT_TRUE(desc.key_partitionable);
+
+  Drain(graph_);
+  // Bidder 10 bids 25 (> 20) and 15 (not), bidder 11 bids 5 (not > 22),
+  // bidder 12 bids 40 (> 24).
+  ASSERT_EQ(sink.elements().size(), 2u);
+  EXPECT_EQ(sink.elements()[0].payload.field(1).AsString(), "Paris");
+  EXPECT_EQ(sink.elements()[1].payload.field(1).AsString(), "Marburg");
+}
+
 TEST_F(EndToEnd, MultiQuerySharingReusesSubplans) {
   PlanManager manager(&graph_, &catalog_);
   auto first = manager.InstallQuery(
