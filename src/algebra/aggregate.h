@@ -10,6 +10,7 @@
 
 #include "src/algebra/aggregates.h"
 #include "src/common/macros.h"
+#include "src/core/key.h"
 #include "src/core/ordered_buffer.h"
 #include "src/core/pipe.h"
 
@@ -181,7 +182,10 @@ class TemporalAggregate : public UnaryPipe<In, typename Agg::Output> {
 /// Grouped temporal aggregate (the algebra behind CQL GROUP BY): one
 /// sweep-line per group key; outputs (key, aggregate) pairs. Segments of
 /// different groups interleave, so finalized results are re-ordered through
-/// a staging buffer before transfer.
+/// a staging buffer before transfer. The group of an element is found
+/// through the key functor's borrowed view when it has one
+/// (src/core/key.h); the owned key and the group's aggregator are built
+/// only when the group is new.
 template <typename In, typename Agg, typename KeyFn, typename ValueFn>
 class GroupedAggregate
     : public UnaryPipe<
@@ -223,9 +227,7 @@ class GroupedAggregate
 
  protected:
   void PortElement(int /*port_id*/, const StreamElement<In>& e) override {
-    auto [it, inserted] = groups_.try_emplace(
-        key_fn_(e.payload), SweepLineAggregator<Agg>(agg_));
-    it->second.Add(e.start(), e.end(), value_fn_(e.payload));
+    GroupOf(e.payload).Add(e.start(), e.end(), value_fn_(e.payload));
   }
 
   /// Columnar kernel: group lookup and sweep-line accumulation straight
@@ -233,10 +235,8 @@ class GroupedAggregate
   void PortRun(int /*port_id*/, const ColumnarRun<In>& run) override {
     const std::size_t n = run.size();
     for (std::size_t i = 0; i < n; ++i) {
-      auto [it, inserted] = groups_.try_emplace(
-          key_fn_(run.payloads[i]), SweepLineAggregator<Agg>(agg_));
-      it->second.Add(run.starts[i], run.ends[i],
-                     value_fn_(run.payloads[i]));
+      GroupOf(run.payloads[i])
+          .Add(run.starts[i], run.ends[i], value_fn_(run.payloads[i]));
     }
   }
 
@@ -280,6 +280,14 @@ class GroupedAggregate
     return bound;
   }
 
+  SweepLineAggregator<Agg>& GroupOf(const In& payload) {
+    auto it = groups_.find(LookupKey(key_fn_, payload));
+    if (it == groups_.end()) {
+      it = groups_.try_emplace(key_fn_(payload), agg_).first;
+    }
+    return it->second;
+  }
+
   Timestamp MinPendingStart() const {
     Timestamp t = kMaxTimestamp;
     for (const auto& [key, core] : groups_) {
@@ -291,7 +299,8 @@ class GroupedAggregate
   KeyFn key_fn_;
   ValueFn value_fn_;
   Agg agg_;
-  std::unordered_map<Key, SweepLineAggregator<Agg>> groups_;
+  std::unordered_map<Key, SweepLineAggregator<Agg>, KeyHash, KeyEqual>
+      groups_;
   OrderedOutputBuffer<Output> staged_;
   ColumnarRun<Output> out_run_;
 };

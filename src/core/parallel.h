@@ -14,6 +14,7 @@
 #include "src/common/macros.h"
 #include "src/common/time.h"
 #include "src/core/element.h"
+#include "src/core/key.h"
 #include "src/core/node.h"
 #include "src/core/ordered_buffer.h"
 #include "src/core/port.h"
@@ -41,7 +42,8 @@
 namespace pipes {
 
 /// Splitter with one input and `num_partitions` keyed outputs. Elements
-/// hash-route by `std::hash` of `key_fn(payload)`; batches route as one
+/// hash-route by `std::hash` of `key_fn(payload)` (read through the key's
+/// borrowed view when `key_fn` has one, src/core/key.h); batches route as one
 /// per-partition run each (one `ReceiveBatch` per non-empty partition), so
 /// the batched path stays batched end-to-end through the split.
 ///
@@ -51,8 +53,6 @@ namespace pipes {
 template <typename T, typename KeyFn>
 class Partition : public Node, public PortOwner<T> {
  public:
-  using Key = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
-
   Partition(std::size_t num_partitions, KeyFn key_fn,
             std::string name = "partition")
       : Node(std::move(name)),
@@ -91,7 +91,7 @@ class Partition : public Node, public PortOwner<T> {
 
   /// The partition an element with this payload routes to.
   std::size_t PartitionIndex(const T& payload) const {
-    return hash_(key_fn_(payload)) % outputs_.size();
+    return KeyHash()(LookupKey(key_fn_, payload)) % outputs_.size();
   }
 
   /// Elements routed to partition `index` so far.
@@ -220,7 +220,6 @@ class Partition : public Node, public PortOwner<T> {
   };
 
   KeyFn key_fn_;
-  std::hash<Key> hash_;
   std::vector<PartitionOutput> outputs_;
   /// Routed-element counters, one per partition; atomics because the
   /// snapshot layer reads them while a scheduler thread routes.

@@ -18,11 +18,12 @@ namespace pipes::optimizer {
 using relational::Tuple;
 
 void TupleAggPolicy::Add(State& state, const Tuple& tuple) const {
-  PIPES_DCHECK(state.size() == specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
+  const std::vector<AggSpec>& specs = *specs_;
+  PIPES_DCHECK(state.size() == specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     SingleState& s = state[i];
     ++s.count;
-    const AggSpec& spec = specs_[i];
+    const AggSpec& spec = specs[i];
     if (spec.arg == nullptr) continue;  // COUNT(*)
     const relational::Value v = spec.arg->Eval(tuple);
     if (v.is_null()) continue;
@@ -62,50 +63,38 @@ void TupleAggPolicy::Add(State& state, const Tuple& tuple) const {
 }
 
 Tuple TupleAggPolicy::Result(const State& state) const {
-  std::vector<relational::Value> values;
-  values.reserve(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
+  const std::vector<AggSpec>& specs = *specs_;
+  return Tuple::Build(specs.size(), [&](std::size_t i) {
     const SingleState& s = state[i];
-    switch (specs_[i].kind) {
+    switch (specs[i].kind) {
       case AggKind::kCount:
-        values.push_back(relational::Value(static_cast<std::int64_t>(s.count)));
-        break;
+        return relational::Value(static_cast<std::int64_t>(s.count));
       case AggKind::kSum:
-        values.push_back(s.saw_double
-                             ? relational::Value(s.double_sum)
-                             : relational::Value(s.int_sum));
-        break;
+        return s.saw_double ? relational::Value(s.double_sum)
+                            : relational::Value(s.int_sum);
       case AggKind::kAvg:
-        values.push_back(
-            s.value_count == 0
-                ? relational::Value::Null()
-                : relational::Value(s.double_sum /
-                                    static_cast<double>(s.value_count)));
-        break;
+        return s.value_count == 0
+                   ? relational::Value::Null()
+                   : relational::Value(s.double_sum /
+                                       static_cast<double>(s.value_count));
       case AggKind::kMin:
-        values.push_back(s.set ? s.min : relational::Value::Null());
-        break;
+        return s.set ? s.min : relational::Value::Null();
       case AggKind::kMax:
-        values.push_back(s.set ? s.max : relational::Value::Null());
-        break;
+        return s.set ? s.max : relational::Value::Null();
       case AggKind::kVariance:
       case AggKind::kStddev: {
-        if (s.value_count == 0) {
-          values.push_back(relational::Value::Null());
-          break;
-        }
+        if (s.value_count == 0) return relational::Value::Null();
         const double variance =
             s.value_count < 2
                 ? 0.0
                 : s.m2 / static_cast<double>(s.value_count);
-        values.push_back(relational::Value(
-            specs_[i].kind == AggKind::kStddev ? std::sqrt(variance)
-                                               : variance));
-        break;
+        return relational::Value(specs[i].kind == AggKind::kStddev
+                                     ? std::sqrt(variance)
+                                     : variance);
       }
     }
-  }
-  return Tuple(std::move(values));
+    return relational::Value::Null();
+  });
 }
 
 PhysicalBuilder::PhysicalBuilder(QueryGraph* graph,

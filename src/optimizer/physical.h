@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -36,22 +37,24 @@ struct ExprPredicate {
   }
 };
 
-/// Evaluates a projection list.
+/// Evaluates a projection list into one new row.
 struct ExprProjector {
   std::vector<relational::ExprPtr> exprs;
   relational::Tuple operator()(const relational::Tuple& t) const {
-    std::vector<relational::Value> values;
-    values.reserve(exprs.size());
-    for (const auto& expr : exprs) values.push_back(expr->Eval(t));
-    return relational::Tuple(std::move(values));
+    return relational::Tuple::Build(
+        exprs.size(), [&](std::size_t i) { return exprs[i]->Eval(t); });
   }
 };
 
-/// Projects the key fields of a tuple (join/grouping keys).
+/// Projects the key fields of a tuple (join/grouping keys). `Borrow` reads
+/// the same key in place for lookups (src/core/key.h).
 struct FieldsKey {
   std::vector<std::size_t> fields;
   relational::Tuple operator()(const relational::Tuple& t) const {
     return t.Project(fields);
+  }
+  relational::ProjectedRow Borrow(const relational::Tuple& t) const {
+    return relational::ProjectedRow(t, fields);
   }
 };
 
@@ -63,14 +66,16 @@ struct TupleConcatCombine {
   }
 };
 
-/// Theta-join predicate evaluated over the concatenated pair; also the
-/// residual of a hash join, checked inside its SweepAreas' probes.
+/// Theta-join predicate over the pair read as one concatenated row (field
+/// indices past the left arity address the right row), without building
+/// the concatenation; also the residual of a hash join, checked inside its
+/// SweepAreas' probes.
 struct ConcatPredicate {
   relational::ExprPtr expr;  // null = cross product
   bool operator()(const relational::Tuple& l,
                   const relational::Tuple& r) const {
     if (expr == nullptr) return true;
-    return expr->Eval(l.Concat(r)).Truthy();
+    return expr->Eval(relational::RowView(l, r)).Truthy();
   }
   /// The predicate's text; empty for a cross product.
   std::string ToString() const {
@@ -80,7 +85,8 @@ struct ConcatPredicate {
 
 /// Runtime-parameterized aggregation policy over tuples: one accumulator
 /// per `AggSpec`. Plugs into the same sweep-line machinery as the static
-/// policies (instance-based policy support).
+/// policies (instance-based policy support). Every group's aggregator holds
+/// a copy, so the specs are shared, not copied.
 class TupleAggPolicy {
  public:
   using Value = relational::Tuple;
@@ -101,16 +107,17 @@ class TupleAggPolicy {
   using State = std::vector<SingleState>;
 
   explicit TupleAggPolicy(std::vector<AggSpec> specs)
-      : specs_(std::move(specs)) {}
+      : specs_(std::make_shared<const std::vector<AggSpec>>(
+            std::move(specs))) {}
 
-  State Init() const { return State(specs_.size()); }
+  State Init() const { return State(specs_->size()); }
 
   void Add(State& state, const relational::Tuple& tuple) const;
 
   Output Result(const State& state) const;
 
  private:
-  std::vector<AggSpec> specs_;
+  std::shared_ptr<const std::vector<AggSpec>> specs_;
 };
 
 /// One instantiated subplan, keyed by its logical signature. Besides the

@@ -38,6 +38,13 @@ const char* BinaryOpName(BinaryOp op) {
   return "?";
 }
 
+const Value& RowView::field(std::size_t i) const {
+  if (i < left_.size()) return left_[i];
+  PIPES_CHECK_MSG(i - left_.size() < right_.size(),
+                  "tuple field index out of range");
+  return right_[i - left_.size()];
+}
+
 std::string FieldRef::ToString() const {
   return name_.empty() ? "$" + std::to_string(index_) : name_;
 }
@@ -120,24 +127,24 @@ Value EvalComparison(BinaryOp op, const Value& l, const Value& r) {
 
 }  // namespace
 
-Value BinaryExpr::Eval(const Tuple& tuple) const {
+Value BinaryExpr::Eval(RowView row) const {
   switch (op_) {
     case BinaryOp::kAnd: {
-      if (!left_->Eval(tuple).Truthy()) return Value(false);
-      return Value(right_->Eval(tuple).Truthy());
+      if (!left_->Eval(row).Truthy()) return Value(false);
+      return Value(right_->Eval(row).Truthy());
     }
     case BinaryOp::kOr: {
-      if (left_->Eval(tuple).Truthy()) return Value(true);
-      return Value(right_->Eval(tuple).Truthy());
+      if (left_->Eval(row).Truthy()) return Value(true);
+      return Value(right_->Eval(row).Truthy());
     }
     case BinaryOp::kAdd:
     case BinaryOp::kSub:
     case BinaryOp::kMul:
     case BinaryOp::kDiv:
     case BinaryOp::kMod:
-      return EvalArithmetic(op_, left_->Eval(tuple), right_->Eval(tuple));
+      return EvalArithmetic(op_, left_->Eval(row), right_->Eval(row));
     default:
-      return EvalComparison(op_, left_->Eval(tuple), right_->Eval(tuple));
+      return EvalComparison(op_, left_->Eval(row), right_->Eval(row));
   }
 }
 
@@ -153,8 +160,8 @@ ExprPtr BinaryExpr::RemapFields(const std::vector<int>& mapping) const {
   return MakeBinary(op_, std::move(l), std::move(r));
 }
 
-Value UnaryExpr::Eval(const Tuple& tuple) const {
-  const Value v = operand_->Eval(tuple);
+Value UnaryExpr::Eval(RowView row) const {
+  const Value v = operand_->Eval(row);
   switch (op_) {
     case UnaryOp::kNot:
       return Value(!v.Truthy());

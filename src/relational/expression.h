@@ -2,6 +2,7 @@
 #define PIPES_RELATIONAL_EXPRESSION_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,28 @@
 /// predicate pushdown), and compiled into filter/map operator parameters.
 
 namespace pipes::relational {
+
+/// The row an expression is evaluated over, borrowed: the fields of a left
+/// part followed by those of an optional right part. A `Tuple` converts to
+/// it implicitly; a join pair `RowView(l, r)` reads as `l.Concat(r)`
+/// without building the concatenation. Must not outlive what it borrows.
+class RowView {
+ public:
+  RowView(const Tuple& row)  // NOLINT(runtime/explicit)
+      : left_(row.values()) {}
+  RowView(const Tuple& left, const Tuple& right)
+      : left_(left.values()), right_(right.values()) {}
+
+  std::size_t arity() const { return left_.size() + right_.size(); }
+
+  /// Field `i` of the combined row; out of range aborts, as
+  /// `Tuple::field` does.
+  const Value& field(std::size_t i) const;
+
+ private:
+  std::span<const Value> left_;
+  std::span<const Value> right_;
+};
 
 class Expression;
 using ExprPtr = std::shared_ptr<const Expression>;
@@ -44,7 +67,7 @@ class Expression {
  public:
   virtual ~Expression() = default;
 
-  virtual Value Eval(const Tuple& tuple) const = 0;
+  virtual Value Eval(RowView row) const = 0;
 
   virtual std::string ToString() const = 0;
 
@@ -66,9 +89,7 @@ class FieldRef : public Expression {
   std::size_t index() const { return index_; }
   const std::string& name() const { return name_; }
 
-  Value Eval(const Tuple& tuple) const override {
-    return tuple.field(index_);
-  }
+  Value Eval(RowView row) const override { return row.field(index_); }
   std::string ToString() const override;
   void CollectFieldRefs(std::vector<std::size_t>* out) const override {
     out->push_back(index_);
@@ -86,7 +107,7 @@ class Literal : public Expression {
 
   const Value& value() const { return value_; }
 
-  Value Eval(const Tuple&) const override { return value_; }
+  Value Eval(RowView) const override { return value_; }
   /// Strings render quoted so expression text is re-parseable (XML plan
   /// round-trips).
   std::string ToString() const override {
@@ -111,7 +132,7 @@ class BinaryExpr : public Expression {
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
 
-  Value Eval(const Tuple& tuple) const override;
+  Value Eval(RowView row) const override;
   std::string ToString() const override;
   void CollectFieldRefs(std::vector<std::size_t>* out) const override {
     left_->CollectFieldRefs(out);
@@ -133,7 +154,7 @@ class UnaryExpr : public Expression {
   UnaryOp op() const { return op_; }
   const ExprPtr& operand() const { return operand_; }
 
-  Value Eval(const Tuple& tuple) const override;
+  Value Eval(RowView row) const override;
   std::string ToString() const override;
   void CollectFieldRefs(std::vector<std::size_t>* out) const override {
     operand_->CollectFieldRefs(out);

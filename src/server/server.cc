@@ -86,7 +86,9 @@ Status PipesServer::Start() {
   port_ = ntohs(addr.sin_port);
   listen_fd_ = fd;
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // The accept thread gets the fd by value: `listen_fd_` belongs to
+  // Start/Stop, which close it only after that thread has been joined.
+  accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   pump_thread_ = std::thread([this] { PumpLoop(); });
   return Status::OK();
 }
@@ -102,10 +104,9 @@ void PipesServer::Stop() {
   std::lock_guard<std::mutex> stop_lock(stop_mu_);
   const bool was_running = running_.exchange(false);
   if (was_running && listen_fd_ >= 0) {
-    // Unblocks accept(); the loop then exits on running_ == false.
+    // Unblocks accept(), and fails every later one, so the loop exits; the
+    // fd is closed once that thread is joined and can no longer use it.
     ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -113,6 +114,10 @@ void PipesServer::Stop() {
     stopped_cv_.notify_all();
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
   if (pump_thread_.joinable()) pump_thread_.join();
   std::vector<std::thread> threads;
   {
@@ -131,9 +136,9 @@ void PipesServer::Stop() {
   }
 }
 
-void PipesServer::AcceptLoop() {
+void PipesServer::AcceptLoop(int listen_fd) {
   while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // Listener closed (Stop) or fatal error.

@@ -63,7 +63,7 @@ class PipesServer {
   void Stop();
 
  private:
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void PumpLoop();
   void ServeConnection(int fd);
 

@@ -13,6 +13,7 @@
 #include "src/common/time.h"
 #include "src/core/columnar.h"
 #include "src/core/element.h"
+#include "src/core/key.h"
 #include "src/sweeparea/sweep_area.h"
 
 /// \file
@@ -20,11 +21,14 @@
 /// key, probes touch exactly one bucket. An optional residual predicate
 /// supports mixed equi/theta conditions: it is checked per candidate pair
 /// inside the probe, so a rejected pair is never combined or staged.
+/// Probes find their bucket through the probe key functor's borrowed view
+/// when it has one (src/core/key.h); an owned key is built only on insert.
 
 namespace pipes::sweeparea {
 
 /// `KeyS(stored_payload)` and `KeyP(probe_payload)` must return the same
-/// key type (hashable, equality-comparable).
+/// key type (hashable, equality-comparable); `KeyP::Borrow`, if present,
+/// must hash and compare like it.
 template <typename Stored, typename Probe, typename KeyS, typename KeyP,
           typename Residual = TruePredicate>
 class HashSweepArea {
@@ -53,7 +57,7 @@ class HashSweepArea {
 
   template <typename Emit>
   void Query(const StreamElement<Probe>& probe, Emit&& emit) const {
-    auto it = buckets_.find(key_probe_(probe.payload));
+    auto it = buckets_.find(LookupKey(key_probe_, probe.payload));
     if (it == buckets_.end()) return;
     for (const StreamElement<Stored>& stored : it->second) {
       if (stored.interval.Overlaps(probe.interval) &&
@@ -70,7 +74,7 @@ class HashSweepArea {
   void QueryRun(const ColumnarRun<Probe>& run, Emit&& emit) const {
     const std::size_t n = run.size();
     for (std::size_t i = 0; i < n; ++i) {
-      auto it = buckets_.find(key_probe_(run.payloads[i]));
+      auto it = buckets_.find(LookupKey(key_probe_, run.payloads[i]));
       if (it == buckets_.end()) continue;
       const TimeInterval probe_iv(run.starts[i], run.ends[i]);
       for (const StreamElement<Stored>& stored : it->second) {
@@ -146,7 +150,9 @@ class HashSweepArea {
   KeyS key_stored_;
   KeyP key_probe_;
   Residual residual_;
-  std::unordered_map<Key, std::deque<StreamElement<Stored>>> buckets_;
+  std::unordered_map<Key, std::deque<StreamElement<Stored>>, KeyHash,
+                     KeyEqual>
+      buckets_;
   // One entry per inserted element; entries of shed elements go stale and
   // are skipped when popped.
   std::priority_queue<Expiry, std::vector<Expiry>, LaterExpiry> expiry_;

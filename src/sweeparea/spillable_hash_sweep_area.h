@@ -14,6 +14,7 @@
 #include "src/common/time.h"
 #include "src/core/columnar.h"
 #include "src/core/element.h"
+#include "src/core/key.h"
 #include "src/sweeparea/spill.h"
 #include "src/sweeparea/sweep_area.h"
 
@@ -198,7 +199,8 @@ class SpillableHashSweepArea {
         lo = std::min(lo, p.probe.start());
         hi = std::max(hi, p.probe.end());
       }
-      std::unordered_map<Key, std::vector<const Pending*>> by_key;
+      std::unordered_map<Key, std::vector<const Pending*>, KeyHash, KeyEqual>
+          by_key;
       by_key.reserve(pending_.size());
       for (const Pending& p : pending_) {
         by_key[key_probe_(p.probe.payload)].push_back(&p);
@@ -211,7 +213,7 @@ class SpillableHashSweepArea {
       }
       MergedRunCursor<Stored> merge(overlapping);
       while (auto item = merge.Next()) {
-        auto it = by_key.find(key_stored_(item->element.payload));
+        auto it = by_key.find(LookupKey(key_stored_, item->element.payload));
         if (it == by_key.end()) continue;
         for (const Pending* p : it->second) {
           if (item->run_seq < p->epoch &&
@@ -264,7 +266,7 @@ class SpillableHashSweepArea {
   template <typename Emit>
   void QueryHot(const Probe& payload, const TimeInterval& iv,
                 Emit&& emit) const {
-    auto it = buckets_.find(key_probe_(payload));
+    auto it = buckets_.find(LookupKey(key_probe_, payload));
     if (it == buckets_.end()) return;
     for (const StreamElement<Stored>& stored : it->second) {
       if (stored.interval.Overlaps(iv) && residual_(stored.payload, payload)) {
@@ -319,7 +321,9 @@ class SpillableHashSweepArea {
   SpillOptions options_;
 
   // Hot (resident) portion — mirrors HashSweepArea.
-  std::unordered_map<Key, std::deque<StreamElement<Stored>>> buckets_;
+  std::unordered_map<Key, std::deque<StreamElement<Stored>>, KeyHash,
+                     KeyEqual>
+      buckets_;
   std::priority_queue<Expiry, std::vector<Expiry>, LaterExpiry> expiry_;
   std::size_t hot_count_ = 0;
   std::size_t hot_bytes_ = 0;

@@ -154,8 +154,10 @@ class CanaryPipe : public UnaryPipe<Val, Val> {
 
   void PortProgress(int port_id, Timestamp watermark) override {
     if (kind_ == CanaryKind::kHeartbeatOvershoot) {
-      // Falsely promise that the next 7 ticks are element-free.
-      this->TransferHeartbeat(watermark + 7);
+      // Falsely promise that the next 7 ticks are element-free (saturating:
+      // the final watermark is already kMaxTimestamp).
+      this->TransferHeartbeat(watermark > kMaxTimestamp - 7 ? kMaxTimestamp
+                                                            : watermark + 7);
       return;
     }
     UnaryPipe<Val, Val>::PortProgress(port_id, watermark);

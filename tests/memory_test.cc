@@ -188,8 +188,9 @@ JoinRunResult RunJoinWithBudget(std::size_t budget) {
   JoinRunResult r;
   r.out = sink.count();
   r.shed = join.ShedCount();
-  const metadata::NodeSnapshot* js =
-      metadata::CaptureSnapshot(graph).FindNode("join");
+  // Hold the snapshot: FindNode points into it.
+  const metadata::MetricsSnapshot snapshot = metadata::CaptureSnapshot(graph);
+  const metadata::NodeSnapshot* js = snapshot.FindNode("join");
   EXPECT_NE(js, nullptr);
   if (js != nullptr) r.snapshot_shed = js->shed;
   return r;

@@ -2,11 +2,15 @@
 // physical instantiation, and multi-query sharing — including end-to-end
 // CQL execution against vector-backed tuple streams.
 
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/algebra/aggregate.h"
+#include "src/algebra/join.h"
 #include "src/core/generator_source.h"
 #include "src/core/sink.h"
 #include "src/cql/analyzer.h"
@@ -328,6 +332,86 @@ TEST_F(EndToEnd, SharingDisabledBuildsEverythingTwice) {
 TEST_F(EndToEnd, InstallFailsForUnknownStream) {
   PlanManager manager(&graph_, &catalog_);
   EXPECT_FALSE(manager.InstallQuery("SELECT * FROM nosuch").ok());
+}
+
+// Two-field keys with a string field: group lookups and join probes read
+// the key from the row in place, and must land exactly where the projected
+// key would (int/double promotion and NULL included).
+
+using Rows = std::vector<StreamElement<Tuple>>;
+
+StreamElement<Tuple> RowOn(Value a, Value b, Value c) {
+  return StreamElement<Tuple>(Tuple{std::move(a), std::move(b), std::move(c)},
+                              0, 100);
+}
+
+TEST(TupleKeys, GroupAggregateOnAnIntAndAStringField) {
+  QueryGraph graph;
+  // (region, amount, city) grouped by (region, city).
+  auto& source = graph.Add<VectorSource<Tuple>>(Rows{
+      RowOn(Value(std::int64_t{1}), Value(2.0), Value("Marburg")),
+      RowOn(Value(1.0), Value(3.0), Value("Marburg")),
+      RowOn(Value(std::int64_t{1}), Value(4.0), Value("Paris")),
+      RowOn(Value::Null(), Value(5.0), Value("Paris")),
+      RowOn(Value::Null(), Value(6.0), Value("Paris")),
+  });
+  struct Identity {
+    const Tuple& operator()(const Tuple& t) const { return t; }
+  };
+  using Grouped =
+      algebra::GroupedAggregate<Tuple, TupleAggPolicy, FieldsKey, Identity>;
+  auto& grouped = graph.Add<Grouped>(
+      FieldsKey{{0, 2}}, Identity{}, "group-aggregate",
+      TupleAggPolicy({AggSpec{AggKind::kSum, MakeField(1, "amount"), "s"}}));
+  auto& sink = graph.Add<CollectorSink<std::pair<Tuple, Tuple>>>();
+  source.AddSubscriber(grouped.input());
+  grouped.AddSubscriber(sink.input());
+  Drain(graph);
+
+  std::map<std::string, double> sums;
+  for (const auto& e : sink.elements()) {
+    EXPECT_EQ(e.interval, TimeInterval(0, 100));
+    sums[e.payload.first.ToString()] += e.payload.second.field(0).AsDouble();
+  }
+  EXPECT_EQ(sums, (std::map<std::string, double>{{"(1, Marburg)", 5.0},
+                                                 {"(1, Paris)", 4.0},
+                                                 {"(NULL, Paris)", 11.0}}));
+}
+
+TEST(TupleKeys, HashJoinOnAStringAndAnIntFieldWithAResidual) {
+  QueryGraph graph;
+  // Left (id, city, price), right (city, id, limit); the key is
+  // (id, city) on both, the residual price > limit.
+  auto& left = graph.Add<VectorSource<Tuple>>(Rows{
+      RowOn(Value(std::int64_t{1}), Value("Paris"), Value(10.0)),
+      RowOn(Value(std::int64_t{1}), Value("Paris"), Value(30.0)),
+      RowOn(Value(std::int64_t{1}), Value("Rome"), Value(50.0)),
+      RowOn(Value(std::int64_t{2}), Value("Paris"), Value(50.0)),
+      RowOn(Value(2.0), Value("Marburg"), Value(5.0)),
+  });
+  auto& right = graph.Add<VectorSource<Tuple>>(Rows{
+      RowOn(Value("Paris"), Value(std::int64_t{1}), Value(20.0)),
+      RowOn(Value("Rome"), Value(std::int64_t{1}), Value(60.0)),
+      RowOn(Value("Marburg"), Value(std::int64_t{2}), Value(0.0)),
+      RowOn(Value("Paris"), Value(std::int64_t{2}), Value(40.0)),
+  });
+  const ConcatPredicate residual{
+      MakeBinary(BinaryOp::kGt, MakeField(2, "price"), MakeField(5, "limit"))};
+  auto& join = graph.Add(algebra::MakeHashJoin<Tuple, Tuple>(
+      FieldsKey{{0, 1}}, FieldsKey{{1, 0}}, TupleConcatCombine{}, "hash-join",
+      residual));
+  auto& sink = graph.Add<CollectorSink<Tuple>>();
+  left.AddSubscriber(join.left());
+  right.AddSubscriber(join.right());
+  join.AddSubscriber(sink.input());
+  Drain(graph);
+
+  std::multiset<std::string> got;
+  for (const auto& e : sink.elements()) got.insert(e.payload.ToString());
+  EXPECT_EQ(got, (std::multiset<std::string>{
+                     "(1, Paris, 30, Paris, 1, 20)",
+                     "(2, Paris, 50, Paris, 2, 40)",
+                     "(2, Marburg, 5, Marburg, 2, 0)"}));
 }
 
 }  // namespace
