@@ -40,8 +40,9 @@ Schema TradesSchema() {
                  {"volume", ValueType::kInt}});
 }
 
-/// Pushes synthetic trades through the engine's locked StreamWriter until
-/// `stop` flips. Stream time advances `step_ms` per tuple regardless of
+/// Pushes synthetic trades through the engine's StreamWriter (which queues
+/// them on the engine's ingest FIFO for the server's pump) until `stop`
+/// flips. Stream time advances `step_ms` per tuple regardless of
 /// wall-clock pacing, so windowed queries close at a predictable rate.
 void FeedTrades(pipes::engine::StreamWriter writer, std::atomic<bool>& stop,
                 int rate_hz) {

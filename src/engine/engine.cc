@@ -2,28 +2,66 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
 
 namespace pipes::engine {
 
-// --- ResultSink -------------------------------------------------------------
+// --- Result delivery ----------------------------------------------------------
+
+/// Pull-mode result queue of one query. The query's sink appends under the
+/// graph lock; `QueryHandle::Poll` drains it without that lock. Closing
+/// drops what is queued and makes later appends no-ops.
+class ResultOutbox {
+ public:
+  using Element = StreamElement<relational::Tuple>;
+
+  void Append(const Element& e) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!closed_) rows_.push_back(e);
+  }
+
+  void Append(std::span<const Element> batch) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!closed_) rows_.insert(rows_.end(), batch.begin(), batch.end());
+  }
+
+  void Append(const ColumnarRun<relational::Tuple>& run) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!closed_) run.MaterializeTo(rows_);
+  }
+
+  std::vector<Element> Drain() {
+    std::vector<Element> out;
+    std::lock_guard<std::mutex> lock(mu_);
+    out.swap(rows_);
+    return out;
+  }
+
+  void Close() {
+    std::vector<Element> dropped;  // Freed after the lock is released.
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+    dropped.swap(rows_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<Element> rows_;
+  bool closed_ = false;
+};
 
 /// Terminal sink the engine wires onto every registered query's output.
-/// Pull mode accumulates into a queue drained by `QueryHandle::Poll`; push
-/// mode forwards each element to the handle's callback. Only ever touched
-/// with the engine mutex held (deliveries happen inside Pump, accessors
-/// inside locked handle methods), so no locking of its own.
+/// Pull mode appends to the query's outbox; push mode forwards each
+/// element to the handle's callback. Deliveries happen inside Pump and the
+/// callback is swapped by a locked handle method, so everything but the
+/// outbox is touched only with the graph lock held.
 class Engine::ResultSink : public Sink<relational::Tuple> {
  public:
   using Element = StreamElement<relational::Tuple>;
 
-  explicit ResultSink(std::string name) : Sink(std::move(name)) {}
-
-  std::vector<Element> Drain() {
-    std::vector<Element> out;
-    out.swap(queue_);
-    return out;
-  }
+  ResultSink(std::string name, std::shared_ptr<ResultOutbox> outbox)
+      : Sink(std::move(name)), outbox_(std::move(outbox)) {}
 
   std::uint64_t delivered() const { return delivered_; }
 
@@ -32,8 +70,7 @@ class Engine::ResultSink : public Sink<relational::Tuple> {
     if (callback_) {
       // Anything already queued replays through the new callback, so the
       // subscriber never misses results produced before it attached.
-      for (const Element& e : queue_) callback_(e);
-      queue_.clear();
+      for (const Element& e : outbox_->Drain()) callback_(e);
     }
   }
 
@@ -46,36 +83,39 @@ class Engine::ResultSink : public Sink<relational::Tuple> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const Element& e) override { Deliver(e); }
-
-  void PortBatch(int /*port_id*/,
-                 std::span<const Element> batch) override {
-    for (const Element& e : batch) Deliver(e);
-  }
-
-  void PortRun(int /*port_id*/,
-               const ColumnarRun<relational::Tuple>& run) override {
-    if (callback_ == nullptr) {
-      delivered_ += run.size();
-      run.MaterializeTo(queue_);
-      return;
-    }
-    std::vector<Element> scratch;
-    run.MaterializeTo(scratch);
-    for (const Element& e : scratch) Deliver(e);
-  }
-
- private:
-  void Deliver(const Element& e) {
+  void PortElement(int /*port_id*/, const Element& e) override {
     ++delivered_;
     if (callback_) {
       callback_(e);
     } else {
-      queue_.push_back(e);
+      outbox_->Append(e);
     }
   }
 
-  std::vector<Element> queue_;
+  void PortBatch(int /*port_id*/,
+                 std::span<const Element> batch) override {
+    delivered_ += batch.size();
+    if (callback_ == nullptr) {
+      outbox_->Append(batch);
+      return;
+    }
+    for (const Element& e : batch) callback_(e);
+  }
+
+  void PortRun(int /*port_id*/,
+               const ColumnarRun<relational::Tuple>& run) override {
+    delivered_ += run.size();
+    if (callback_ == nullptr) {
+      outbox_->Append(run);
+      return;
+    }
+    std::vector<Element> scratch;
+    run.MaterializeTo(scratch);
+    for (const Element& e : scratch) callback_(e);
+  }
+
+ private:
+  std::shared_ptr<ResultOutbox> outbox_;
   std::uint64_t delivered_ = 0;
   QueryHandle::Callback callback_;
 };
@@ -133,6 +173,7 @@ Result<StreamWriter> Engine::AddStream(const std::string& name,
                                        relational::Schema schema,
                                        double rate_hint) {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   SuspendExecutorLocked();
   auto& inlet = graph_.Add<InletSource>(name);
   const Status status =
@@ -141,7 +182,10 @@ Result<StreamWriter> Engine::AddStream(const std::string& name,
     PIPES_CHECK(graph_.Remove(inlet).ok());
     return status;
   }
-  inlets_.push_back(&inlet);
+  {
+    std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
+    inlets_.push_back(std::make_unique<Inlet>(&inlet));
+  }
   return StreamWriter(this, &inlet);
 }
 
@@ -154,62 +198,134 @@ Status Engine::BindStream(const std::string& name, relational::Schema schema,
                                    "' is not owned by the engine graph; add "
                                    "it through engine.graph() first");
   }
+  DrainIngestLocked();
   SuspendExecutorLocked();
   return catalog_.RegisterStream(name, std::move(schema), &source, rate_hint);
 }
 
-Status Engine::InletStatusLocked(InletSource* inlet) const {
-  if (std::find(inlets_.begin(), inlets_.end(), inlet) == inlets_.end()) {
+namespace {
+
+/// How long a writer facing a full FIFO waits for a running pump to take
+/// it before draining it itself. About one pump quantum of the server.
+constexpr std::chrono::milliseconds kIngestSpaceWait{5};
+
+}  // namespace
+
+Status Engine::Ingest(InletSource* source, IngestEntry::Kind kind,
+                      StreamElement<relational::Tuple> element,
+                      Timestamp heartbeat) {
+  std::unique_lock<std::mutex> lock(ingest_mu_);
+  auto it = std::find_if(
+      inlets_.begin(), inlets_.end(),
+      [&](const std::unique_ptr<Inlet>& inlet) {
+        return inlet->source == source;
+      });
+  if (it == inlets_.end()) {
     return Status::NotFound("stream writer does not belong to this engine");
   }
+  Inlet& inlet = **it;
+  while (ingest_.size() >= kIngestBound) {
+    if (pumps_.load() > 0) {
+      ++space_waiters_;
+      const bool taken = space_cv_.wait_for(lock, kIngestSpaceWait, [&] {
+        return ingest_.size() < kIngestBound;
+      });
+      --space_waiters_;
+      if (taken) break;
+    }
+    // No pump took it: drain it the way a pump would. Lock order is graph
+    // then ingest, so the ingest lock is dropped first.
+    lock.unlock();
+    {
+      std::lock_guard<std::mutex> graph_lock(mu_);
+      DrainIngestLocked();
+    }
+    lock.lock();
+  }
+  if (kind == IngestEntry::Kind::kClose) {
+    if (inlet.queued_closed) return Status::OK();  // Idempotent.
+    inlet.queued_closed = true;
+  } else {
+    if (inlet.queued_closed) {
+      return Status::FailedPrecondition("stream '" + source->name() +
+                                        "' is closed");
+    }
+    if (kind == IngestEntry::Kind::kHeartbeat) {
+      if (heartbeat <= inlet.queued_last_start) return Status::OK();
+      inlet.queued_last_start = heartbeat;
+    } else {
+      if (element.start() < inlet.queued_last_start) {
+        return Status::InvalidArgument(
+            "out-of-order push into stream '" + source->name() +
+            "': " + std::to_string(element.start()) + " < " +
+            std::to_string(inlet.queued_last_start));
+      }
+      inlet.queued_last_start = element.start();
+    }
+  }
+  ingest_.push_back({&inlet, kind, heartbeat, std::move(element)});
+  if (input_waiters_ > 0) input_cv_.notify_one();
   return Status::OK();
 }
 
-Status Engine::PushLocked(InletSource* inlet,
-                          const StreamElement<relational::Tuple>& element) {
-  PIPES_RETURN_IF_ERROR(InletStatusLocked(inlet));
-  if (inlet->output_done()) {
-    return Status::FailedPrecondition("stream '" + inlet->name() +
-                                      "' is closed");
+void Engine::FlushInletLocked(Inlet& inlet) {
+  if (inlet.batch.empty()) return;
+  inlet.source->PushBatch(inlet.batch);
+  inlet.batch.clear();
+}
+
+void Engine::DrainIngestLocked() {
+  {
+    std::lock_guard<std::mutex> lock(ingest_mu_);
+    if (ingest_.empty()) return;
+    draining_.swap(ingest_);
+    if (space_waiters_ > 0) space_cv_.notify_all();
   }
-  if (element.start() < inlet->last_start()) {
-    return Status::InvalidArgument(
-        "out-of-order push into stream '" + inlet->name() +
-        "': " + std::to_string(element.start()) + " < " +
-        std::to_string(inlet->last_start()));
+  // Staging into the inlets' pipes keeps delivery in the executor's hands;
+  // a suspension right after (Register, Cancel) flushes the rows through
+  // the graph before it changes.
+  EnsureExecutorLocked();
+  for (IngestEntry& entry : draining_) {
+    Inlet& inlet = *entry.inlet;
+    switch (entry.kind) {
+      case IngestEntry::Kind::kPush:
+        inlet.batch.push_back(std::move(entry.element));
+        break;
+      case IngestEntry::Kind::kHeartbeat:
+        FlushInletLocked(inlet);
+        inlet.source->Heartbeat(entry.heartbeat);
+        break;
+      case IngestEntry::Kind::kClose:
+        FlushInletLocked(inlet);
+        inlet.source->Close();
+        break;
+    }
   }
-  inlet->Push(element);
-  return Status::OK();
+  draining_.clear();
+  for (const std::unique_ptr<Inlet>& inlet : inlets_) FlushInletLocked(*inlet);
 }
 
 Status StreamWriter::Push(const StreamElement<relational::Tuple>& element) {
   if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
-  std::lock_guard<std::mutex> lock(engine_->mu_);
-  return engine_->PushLocked(inlet_, element);
+  return engine_->Ingest(inlet_, Engine::IngestEntry::Kind::kPush, element);
 }
 
 Status StreamWriter::Push(relational::Tuple tuple, Timestamp t) {
-  return Push(StreamElement<relational::Tuple>::Point(std::move(tuple), t));
+  if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
+  return engine_->Ingest(
+      inlet_, Engine::IngestEntry::Kind::kPush,
+      StreamElement<relational::Tuple>::Point(std::move(tuple), t));
 }
 
 Status StreamWriter::Heartbeat(Timestamp t) {
   if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
-  std::lock_guard<std::mutex> lock(engine_->mu_);
-  PIPES_RETURN_IF_ERROR(engine_->InletStatusLocked(inlet_));
-  if (inlet_->output_done()) {
-    return Status::FailedPrecondition("stream '" + inlet_->name() +
-                                      "' is closed");
-  }
-  inlet_->Heartbeat(t);
-  return Status::OK();
+  return engine_->Ingest(inlet_, Engine::IngestEntry::Kind::kHeartbeat, {},
+                         t);
 }
 
 Status StreamWriter::Close() {
   if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
-  std::lock_guard<std::mutex> lock(engine_->mu_);
-  PIPES_RETURN_IF_ERROR(engine_->InletStatusLocked(inlet_));
-  inlet_->Close();
-  return Status::OK();
+  return engine_->Ingest(inlet_, Engine::IngestEntry::Kind::kClose);
 }
 
 // --- Registration -----------------------------------------------------------
@@ -303,8 +419,8 @@ Status Engine::AdmitLocked(std::uint64_t query_id, QueryRecord& record) {
   SuspendExecutorLocked();
   PIPES_ASSIGN_OR_RETURN(optimizer::PlanManager::InstalledQuery installed,
                          plan_manager_.InstallPlan(record.plan));
-  auto& sink = graph_.Add<ResultSink>("q" + std::to_string(query_id) +
-                                      "-results");
+  auto& sink = graph_.Add<ResultSink>(
+      "q" + std::to_string(query_id) + "-results", record.outbox);
   if (record.has_certificate) {
     // Stamp the static certificate on the query's own sink so it rides
     // along in QuerySnapshot (the snapshot capture lifts "dataflow."
@@ -372,9 +488,10 @@ Result<QueryHandle> Engine::RegisterPlanLocked(
     record.schema = plan->schema;
     record.certificate = certificate;
     record.has_certificate = has_certificate;
+    record.outbox = std::make_shared<ResultOutbox>();
     pending_.push_back(id);
     ++tenants_[options.tenant].queued;
-    return QueryHandle(this, id, options.tenant, plan->schema);
+    return QueryHandle(this, id, options.tenant, plan->schema, record.outbox);
   }
   const std::uint64_t id = next_query_id_++;
   QueryRecord record;
@@ -382,15 +499,17 @@ Result<QueryHandle> Engine::RegisterPlanLocked(
   record.plan = plan;
   record.certificate = certificate;
   record.has_certificate = has_certificate;
+  record.outbox = std::make_shared<ResultOutbox>();
   const Status status = AdmitLocked(id, record);
   if (!status.ok()) return status;
-  queries_[id] = std::move(record);
-  return QueryHandle(this, id, options.tenant, queries_[id].schema);
+  QueryRecord& stored = queries_[id] = std::move(record);
+  return QueryHandle(this, id, options.tenant, stored.schema, stored.outbox);
 }
 
 Result<QueryHandle> Engine::Register(const std::string& cql_text,
                                      const RegisterOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   PIPES_ASSIGN_OR_RETURN(cql::CompiledQuery compiled,
                          cql::Compile(cql_text, catalog_));
   return RegisterPlanLocked(compiled.plan, options);
@@ -400,6 +519,7 @@ Result<QueryHandle> Engine::Register(const optimizer::LogicalPlan& plan,
                                      const RegisterOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
   if (plan == nullptr) return Status::InvalidArgument("null plan");
+  DrainIngestLocked();
   return RegisterPlanLocked(plan, options);
 }
 
@@ -407,6 +527,7 @@ Result<QueryHandle> Engine::Register(const PipelineBuilder& builder,
                                      const RegisterOptions& options,
                                      PipelineTeardown teardown) {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   // Pipeline registrations cannot be replayed later, so admission failures
   // always reject (the queue only holds plans).
   PIPES_RETURN_IF_ERROR([&] {
@@ -434,13 +555,15 @@ Result<QueryHandle> Engine::Register(const PipelineBuilder& builder,
   record.state = QueryState::kRunning;
   record.output = output;
   record.teardown = std::move(teardown);
+  record.outbox = std::make_shared<ResultOutbox>();
   for (const Node* node : graph_.nodes()) {
     if (before.find(node->id()) == before.end()) {
       record.node_ids.push_back(node->id());
     }
   }
 
-  auto& sink = graph_.Add<ResultSink>("q" + std::to_string(id) + "-results");
+  auto& sink = graph_.Add<ResultSink>("q" + std::to_string(id) + "-results",
+                                      record.outbox);
   output->AddSubscriber(sink.input());
   output->metadata().SetGauge(OutputGaugeName(options.tenant),
                               static_cast<double>(id));
@@ -450,7 +573,7 @@ Result<QueryHandle> Engine::Register(const PipelineBuilder& builder,
   TenantCounters& counters = tenants_[options.tenant];
   ++counters.registered;
   ++counters.live;
-  return QueryHandle(this, id, options.tenant, record.schema);
+  return QueryHandle(this, id, options.tenant, record.schema, record.outbox);
 }
 
 // --- Cancellation -----------------------------------------------------------
@@ -467,6 +590,7 @@ Status Engine::CancelLocked(std::uint64_t query_id) {
                                       " is already cancelled");
   }
   TenantCounters& counters = tenants_[record.tenant];
+  record.outbox->Close();
   if (record.state == QueryState::kQueued) {
     pending_.erase(std::remove(pending_.begin(), pending_.end(), query_id),
                    pending_.end());
@@ -505,11 +629,13 @@ Status Engine::CancelLocked(std::uint64_t query_id) {
 
 Status Engine::Cancel(std::uint64_t query_id) {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   return CancelLocked(query_id);
 }
 
 std::size_t Engine::CancelAllForTenant(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   std::vector<std::uint64_t> ids;
   for (const auto& [id, record] : queries_) {
     if (record.tenant == tenant && record.state != QueryState::kCancelled) {
@@ -541,6 +667,7 @@ void Engine::AdmitPendingLocked() {
     if (!status.ok()) {
       // The plan stopped being installable (e.g. its stream was rebound);
       // surface that as a cancelled query rather than wedging the queue.
+      record.outbox->Close();
       record.plan = nullptr;
       record.state = QueryState::kCancelled;
       ++tenants_[record.tenant].cancelled;
@@ -552,25 +679,43 @@ void Engine::AdmitPendingLocked() {
 // --- Execution --------------------------------------------------------------
 
 std::uint64_t Engine::Pump(std::uint64_t max_steps) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AdmitPendingLocked();
-  EnsureExecutorLocked();
+  ++pumps_;
   std::uint64_t steps = 0;
-  while (steps < max_steps && executor_->Step()) ++steps;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Queued input goes in before queued registrations are admitted, as it
+    // was pushed before they could run.
+    DrainIngestLocked();
+    AdmitPendingLocked();
+    EnsureExecutorLocked();
+    while (steps < max_steps && executor_->Step()) ++steps;
+  }
+  --pumps_;
   return steps;
 }
 
 scheduler::RunStats Engine::RunToCompletion() {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   AdmitPendingLocked();
   EnsureExecutorLocked();
   return executor_->RunToCompletion();
+}
+
+bool Engine::WaitForInput(std::chrono::microseconds timeout) {
+  std::unique_lock<std::mutex> lock(ingest_mu_);
+  ++input_waiters_;
+  const bool ready =
+      input_cv_.wait_for(lock, timeout, [&] { return !ingest_.empty(); });
+  --input_waiters_;
+  return ready;
 }
 
 // --- Observability ----------------------------------------------------------
 
 metadata::MetricsSnapshot Engine::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   metadata::CaptureOptions options;
   options.memory_manager = &memory_;
   return metadata::CaptureSnapshot(graph_, options);
@@ -604,6 +749,7 @@ Result<std::vector<std::uint64_t>> Engine::QueryNodeIdsLocked(
 metadata::MetricsSnapshot Engine::TenantSnapshot(
     const std::string& tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   metadata::SnapshotOptions options;
   options.scope = tenant;
   for (const auto& [id, record] : queries_) {
@@ -629,6 +775,7 @@ metadata::MetricsSnapshot Engine::TenantSnapshot(
 Result<metadata::MetricsSnapshot> Engine::QuerySnapshot(
     std::uint64_t query_id) const {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   PIPES_ASSIGN_OR_RETURN(std::vector<std::uint64_t> ids,
                          QueryNodeIdsLocked(query_id));
   metadata::SnapshotOptions options;
@@ -665,6 +812,7 @@ std::vector<std::string> Engine::Tenants() const {
 
 EngineStats Engine::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
   EngineStats stats;
   for (const auto& [unused, counters] : tenants_) {
     stats.total_registered += counters.registered;
@@ -697,14 +845,8 @@ Status QueryHandle::Cancel() {
 }
 
 std::vector<QueryHandle::Element> QueryHandle::Poll() {
-  if (engine_ == nullptr) return {};
-  std::lock_guard<std::mutex> lock(engine_->mu_);
-  auto it = engine_->queries_.find(id_);
-  if (it == engine_->queries_.end() ||
-      it->second.state != QueryState::kRunning) {
-    return {};
-  }
-  return it->second.sink->Drain();
+  if (outbox_ == nullptr) return {};
+  return outbox_->Drain();
 }
 
 Status QueryHandle::OnResult(Callback callback) {

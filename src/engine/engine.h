@@ -1,11 +1,15 @@
 #ifndef PIPES_ENGINE_ENGINE_H_
 #define PIPES_ENGINE_ENGINE_H_
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,10 +39,26 @@
 /// `QueryHandle` carrying cancellation, result subscription (pull or
 /// callback), and a per-query metrics snapshot.
 ///
-/// Threading: every public entry point serializes on one internal mutex, so
-/// concurrent registration, cancellation, publishing, and pumping from
-/// multiple threads is safe. Result callbacks fire while that lock is held
-/// — do not call back into the engine from inside one.
+/// Threading: every public entry point is safe to call from any thread.
+/// Three locks keep ingest, processing and result delivery overlapping:
+///
+/// - The *graph lock* guards the graph, catalog, plan manager and executor.
+///   Registration, cancellation, pumping and snapshots take it.
+/// - The *ingest lock* guards one engine-wide FIFO of pushes, heartbeats
+///   and closes. `StreamWriter` appends to it without the graph lock; its
+///   order and closed checks run at enqueue time, so errors stay
+///   synchronous. Every entry point that reads or changes the graph first
+///   moves the FIFO into the inlets, so rows pushed before a Register never
+///   reach that query and snapshots count every pushed row. The FIFO holds
+///   at most `kIngestBound` entries: a writer that finds it full waits for
+///   a running `Pump` to take it, and drains it itself under the graph lock
+///   when no pump is running (single-threaded callers never wait).
+/// - Each query's *outbox lock* guards its pull-mode result queue, so
+///   `QueryHandle::Poll` never waits for a pump.
+///
+/// Lock order is graph → ingest and graph → outbox; the ingest and outbox
+/// locks are never held together. Result callbacks fire while the graph
+/// lock is held — do not call back into the engine from inside one.
 ///
 /// Graph mutation protocol: subscriptions must not change while a
 /// `PipeExecutor` is attached, so the engine suspends the executor around
@@ -50,6 +70,8 @@
 namespace pipes::engine {
 
 class Engine;
+/// Pull-mode result queue of one query (defined in engine.cc).
+class ResultOutbox;
 
 /// What to do with a registration that exceeds the memory budget or a
 /// quota.
@@ -126,14 +148,15 @@ struct EngineStats {
 };
 
 /// An externally fed tuple source: host code pushes elements in, the graph
-/// consumes them. Use through `StreamWriter` (which takes the engine lock);
-/// calling Push directly is only safe while nothing else drives the engine.
+/// consumes them. Use through `StreamWriter` (which queues behind the
+/// engine's ingest lock); calling its methods directly is only safe while
+/// nothing else drives the engine.
 class InletSource : public Source<relational::Tuple> {
  public:
   explicit InletSource(std::string name) : Source(std::move(name)) {}
 
-  void Push(const StreamElement<relational::Tuple>& element) {
-    Transfer(element);
+  void PushBatch(std::span<const StreamElement<relational::Tuple>> batch) {
+    TransferBatch(batch);
   }
   void Heartbeat(Timestamp t) { TransferHeartbeat(t); }
   void Close() { TransferDone(); }
@@ -146,8 +169,9 @@ class InletSource : public Source<relational::Tuple> {
   }
 };
 
-/// Locked writer for one engine-owned inlet stream. Copyable; all methods
-/// serialize on the engine mutex.
+/// Writer for one engine-owned inlet stream. Copyable; all methods append
+/// to the engine's ingest FIFO (see the file comment) and report order and
+/// closed errors synchronously.
 class StreamWriter {
  public:
   StreamWriter() = default;
@@ -171,8 +195,9 @@ class StreamWriter {
 
 /// The per-query face of the engine: cancel, fetch/subscribe results, and
 /// snapshot metrics for exactly this query's operators. Cheap to copy; all
-/// methods serialize on the engine mutex and outlive cancellation (they
-/// report state kCancelled / empty results afterwards).
+/// methods outlive cancellation (they report state kCancelled / empty
+/// results afterwards). `Poll` takes only the query's outbox lock; the
+/// others take the engine's graph lock.
 class QueryHandle {
  public:
   using Element = StreamElement<relational::Tuple>;
@@ -192,8 +217,9 @@ class QueryHandle {
   /// never quiesces it.
   Status Cancel();
 
-  /// Drains every result accumulated since the last Poll (pull mode).
-  /// Empty once a callback is attached.
+  /// Drains every result accumulated since the last Poll (pull mode),
+  /// without waiting for a running pump. Empty once a callback is attached
+  /// and after Cancel (unpolled rows are dropped).
   std::vector<Element> Poll();
 
   /// Switches to push mode: `callback` fires for every result from the
@@ -213,16 +239,18 @@ class QueryHandle {
  private:
   friend class Engine;
   QueryHandle(Engine* engine, std::uint64_t id, std::string tenant,
-              relational::Schema schema)
+              relational::Schema schema, std::shared_ptr<ResultOutbox> outbox)
       : engine_(engine),
         id_(id),
         tenant_(std::move(tenant)),
-        schema_(std::move(schema)) {}
+        schema_(std::move(schema)),
+        outbox_(std::move(outbox)) {}
 
   Engine* engine_ = nullptr;
   std::uint64_t id_ = 0;
   std::string tenant_;
   relational::Schema schema_;
+  std::shared_ptr<ResultOutbox> outbox_;
 };
 
 /// The facade. Owns the graph, catalog, plan manager, memory manager, and
@@ -297,6 +325,15 @@ class Engine {
   /// Pumps until the graph fully drains (finite workloads: demos, tests).
   scheduler::RunStats RunToCompletion();
 
+  /// Blocks until a writer has queued input or `timeout` passes; true when
+  /// input is waiting. A pump thread calls it after a `Pump` that found no
+  /// work, instead of sleeping. The timeout bounds how late queued
+  /// registrations are admitted.
+  bool WaitForInput(std::chrono::microseconds timeout);
+
+  /// Most entries the ingest FIFO holds before writers wait for a pump.
+  static constexpr std::size_t kIngestBound = 4096;
+
   // --- Observability --------------------------------------------------------
 
   /// Whole-graph snapshot (memory gauges included).
@@ -332,12 +369,34 @@ class Engine {
   /// The engine-owned terminal sink of one registered query.
   class ResultSink;
 
+  /// One engine-owned inlet and the writer-side state its pushes are
+  /// checked against (the inlet itself only advances when the FIFO drains).
+  struct Inlet {
+    explicit Inlet(InletSource* s) : source(s) {}
+    InletSource* source;  ///< Owned by the graph.
+    // Guarded by ingest_mu_: the stream's state after every queued entry.
+    Timestamp queued_last_start = kMinTimestamp;
+    bool queued_closed = false;
+    /// Guarded by mu_: this inlet's rows of the FIFO being drained.
+    std::vector<StreamElement<relational::Tuple>> batch;
+  };
+
+  struct IngestEntry {
+    enum class Kind : std::uint8_t { kPush, kHeartbeat, kClose };
+    Inlet* inlet = nullptr;
+    Kind kind = Kind::kPush;
+    Timestamp heartbeat = kMinTimestamp;         ///< kHeartbeat only.
+    StreamElement<relational::Tuple> element;    ///< kPush only.
+  };
+
   struct QueryRecord {
     std::string tenant;
     QueryState state = QueryState::kQueued;
     std::uint64_t pm_id = 0;  ///< PlanManager id; 0 for pipeline queries.
     Source<relational::Tuple>* output = nullptr;
     ResultSink* sink = nullptr;  ///< Owned by the graph while running.
+    /// Pull-mode results, shared with every handle; closed at cancel.
+    std::shared_ptr<ResultOutbox> outbox;
     relational::Schema schema;
     optimizer::LogicalPlan plan;            ///< Kept while queued.
     std::vector<std::uint64_t> node_ids;    ///< Pipeline queries only.
@@ -370,10 +429,24 @@ class Engine {
       std::uint64_t query_id) const;
   static std::string OutputGaugeName(const std::string& tenant);
 
-  Status PushLocked(InletSource* inlet,
-                    const StreamElement<relational::Tuple>& element);
-  Status InletStatusLocked(InletSource* inlet) const;
+  /// Checks one writer call against its inlet's queued state and appends
+  /// it to the FIFO. Takes ingest_mu_ (and mu_ when it must drain a full
+  /// FIFO itself); called without either lock held.
+  Status Ingest(InletSource* source, IngestEntry::Kind kind,
+                StreamElement<relational::Tuple> element = {},
+                Timestamp heartbeat = kMinTimestamp);
+  /// Moves the FIFO into the inlets, one `TransferBatch` per stream between
+  /// its heartbeats and closes. Every entry point that reads or changes the
+  /// graph calls it first.
+  void DrainIngestLocked();
+  /// `DrainIngestLocked` for the const observers: queued rows already
+  /// belong to the engine, so moving them in does not change what it holds.
+  void DrainIngestLocked() const {
+    const_cast<Engine*>(this)->DrainIngestLocked();
+  }
+  void FlushInletLocked(Inlet& inlet);
 
+  /// The graph lock: graph, catalog, plan manager, executor, query records.
   mutable std::mutex mu_;
   EngineOptions options_;
   QueryGraph graph_;
@@ -383,7 +456,22 @@ class Engine {
   scheduler::RoundRobinStrategy strategy_;
   std::unique_ptr<scheduler::PipeExecutor> executor_;
 
-  std::vector<InletSource*> inlets_;  ///< Owned by the graph.
+  /// Changed under both locks, so either one suffices to read it.
+  std::vector<std::unique_ptr<Inlet>> inlets_;
+  /// Guarded by mu_: the FIFO being drained (capacity swaps with ingest_).
+  std::vector<IngestEntry> draining_;
+
+  /// The ingest lock. Taken after mu_ when both are held, never before.
+  std::mutex ingest_mu_;
+  std::vector<IngestEntry> ingest_;        ///< The FIFO, in push order.
+  std::condition_variable input_cv_;       ///< Signals a non-empty FIFO.
+  std::condition_variable space_cv_;       ///< Signals a drained FIFO.
+  int input_waiters_ = 0;                  ///< Pumps in WaitForInput.
+  int space_waiters_ = 0;                  ///< Writers waiting on space.
+  /// Threads inside Pump: while one is, a writer facing a full FIFO waits
+  /// for it instead of draining the FIFO itself.
+  std::atomic<int> pumps_{0};
+
   std::map<std::uint64_t, QueryRecord> queries_;
   std::vector<std::uint64_t> pending_;  ///< Queued ids, FIFO.
   std::map<std::string, TenantCounters> tenants_;

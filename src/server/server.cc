@@ -157,7 +157,9 @@ void PipesServer::PumpLoop() {
   while (running_.load()) {
     const std::uint64_t steps = engine_.Pump(options_.pump_steps);
     if (steps == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      // Wakes on the next push; the timeout admits queued registrations
+      // and notices Stop.
+      engine_.WaitForInput(std::chrono::milliseconds(1));
     }
   }
 }

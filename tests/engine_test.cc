@@ -2,13 +2,16 @@
 // shared prefixes (the E5 flat-operator-count property), cancel-during-flow
 // correctness against a single-query reference run (multiset-exact),
 // admission control (reject and queue policies), per-tenant isolation of
-// snapshots and counters, and concurrent registration (exercised under
-// TSAN in the sanitizer CI job).
+// snapshots and counters, concurrent registration, and the ingest FIFO and
+// result outboxes that let writers, pollers and the pump overlap (the
+// concurrency cases are exercised under TSAN in the sanitizer CI job).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -40,6 +43,9 @@ constexpr const char* kMaxQuery =
 constexpr const char* kCountQuery =
     "SELECT symbol, COUNT(*) AS n FROM trades "
     "[RANGE 1 SECONDS SLIDE 1 SECONDS] WHERE price > 10 GROUP BY symbol";
+/// Stateless: one result row per pushed trade, in push order.
+constexpr const char* kPassQuery =
+    "SELECT symbol, price FROM trades WHERE price > 0";
 
 /// Pushes `n` deterministic trades starting at `t0` (100ms apart).
 void PushTrades(StreamWriter& writer, int n, Timestamp t0) {
@@ -559,6 +565,235 @@ TEST_F(EngineTest, ConcurrentRegisterCancelPumpIsSafe) {
   EXPECT_EQ(stats.live_queries,
             kThreads * kPerThread - stats.cancelled_queries);
   engine.RunToCompletion();
+}
+
+// --- Ingest FIFO and result outboxes ----------------------------------------
+
+Tuple Trade(int i) {
+  return Tuple{Value(static_cast<std::int64_t>(i % 3)), Value(20.0 + i)};
+}
+
+TEST_F(EngineTest, FeederAndPumpThreadsMatchSingleThreadedRun) {
+  // More rows than the FIFO holds, so the writer also meets a full FIFO
+  // while the pump runs.
+  constexpr int kRows = static_cast<int>(3 * Engine::kIngestBound) + 17;
+
+  Engine reference;
+  auto ref_writer = AddTrades(reference);
+  ASSERT_TRUE(ref_writer.ok());
+  auto ref_handle = reference.Register(kAvgQuery);
+  ASSERT_TRUE(ref_handle.ok());
+  PushTrades(*ref_writer, kRows, 0);
+  ASSERT_TRUE(ref_writer->Close().ok());
+  reference.RunToCompletion();
+  const auto expected = Canonical(ref_handle->Poll());
+  ASSERT_FALSE(expected.empty());
+
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto handle = engine.Register(kAvgQuery);
+  ASSERT_TRUE(handle.ok());
+  std::atomic<bool> fed{false};
+  std::thread feeder([&] {
+    PushTrades(*writer, kRows, 0);
+    EXPECT_TRUE(writer->Close().ok());
+    fed.store(true);
+  });
+  std::thread pumper([&] {
+    while (!fed.load()) {
+      if (engine.Pump(256) == 0) {
+        engine.WaitForInput(std::chrono::milliseconds(1));
+      }
+    }
+  });
+  // Poll concurrently with both, as a FETCH loop would.
+  std::vector<QueryHandle::Element> got;
+  while (!fed.load()) {
+    for (auto& e : handle->Poll()) got.push_back(std::move(e));
+  }
+  feeder.join();
+  pumper.join();
+  engine.RunToCompletion();
+  for (auto& e : handle->Poll()) got.push_back(std::move(e));
+  EXPECT_EQ(Canonical(got), expected);
+  EXPECT_EQ(handle->results_delivered(), expected.size());
+}
+
+TEST_F(EngineTest, WriterErrorsStaySynchronousWhilePumping) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(engine.Register(kPassQuery).ok());
+  std::atomic<bool> stop{false};
+  std::thread pumper([&] {
+    while (!stop.load()) {
+      if (engine.Pump(64) == 0) {
+        engine.WaitForInput(std::chrono::milliseconds(1));
+      }
+    }
+  });
+
+  ASSERT_TRUE(writer->Push(Trade(1), 500).ok());
+  EXPECT_EQ(writer->Push(Trade(2), 400).code(), StatusCode::kInvalidArgument);
+  // A heartbeat moves the order check forward at once, before it drains.
+  ASSERT_TRUE(writer->Heartbeat(1000).ok());
+  EXPECT_EQ(writer->Push(Trade(3), 900).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(writer->Heartbeat(800).ok());  // Behind time: a no-op.
+  ASSERT_TRUE(writer->Push(Trade(4), 1000).ok());
+  ASSERT_TRUE(writer->Close().ok());
+  ASSERT_TRUE(writer->Close().ok());  // Idempotent.
+  EXPECT_EQ(writer->Push(Trade(5), 2000).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(writer->Heartbeat(3000).code(), StatusCode::kFailedPrecondition);
+
+  stop.store(true);
+  pumper.join();
+  EXPECT_FALSE(StreamWriter().Push(Trade(6), 0).ok());
+}
+
+TEST_F(EngineTest, HeartbeatAndCloseKeepTheirPlaceBehindPendingPushes) {
+  // Rows, a heartbeat past them, more rows, then close: queued all at once
+  // in one engine, applied call by call in the other.
+  auto feed = [](StreamWriter& writer, Engine* drain_each) {
+    auto step = [&](Status status) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      if (drain_each != nullptr) drain_each->RunToCompletion();
+    };
+    for (int i = 0; i < 10; ++i) step(writer.Push(Trade(i), i * 90));
+    step(writer.Heartbeat(2500));
+    for (int i = 10; i < 20; ++i) step(writer.Push(Trade(i), 2600 + i * 90));
+    step(writer.Close());
+  };
+
+  Engine reference;
+  auto ref_writer = AddTrades(reference);
+  ASSERT_TRUE(ref_writer.ok());
+  auto ref_handle = reference.Register(kCountQuery);
+  ASSERT_TRUE(ref_handle.ok());
+  feed(*ref_writer, &reference);
+  const auto expected = Canonical(ref_handle->Poll());
+  ASSERT_FALSE(expected.empty());
+
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto handle = engine.Register(kCountQuery);
+  ASSERT_TRUE(handle.ok());
+  feed(*writer, nullptr);
+  engine.RunToCompletion();
+  EXPECT_EQ(Canonical(handle->Poll()), expected);
+  // The close drained last: the inlet ends done, after all 20 rows.
+  const metadata::MetricsSnapshot snap = engine.Snapshot();
+  const auto* inlet = snap.FindNode("trades");
+  ASSERT_NE(inlet, nullptr);
+  EXPECT_EQ(inlet->elements_out, 20u);
+  EXPECT_EQ(inlet->progress, kMaxTimestamp);
+}
+
+TEST_F(EngineTest, RowsPushedBeforeRegisterNeverReachIt) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto early = engine.Register(kPassQuery, {.tenant = "early"});
+  ASSERT_TRUE(early.ok());
+  // Queued, not pumped: the registration below must still come after them.
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(writer->Push(Trade(i), i).ok());
+  auto late = engine.Register(kPassQuery, {.tenant = "late"});
+  ASSERT_TRUE(late.ok());
+  for (int i = 50; i < 80; ++i) ASSERT_TRUE(writer->Push(Trade(i), i).ok());
+  ASSERT_TRUE(writer->Close().ok());
+  engine.RunToCompletion();
+
+  EXPECT_EQ(early->Poll().size(), 80u);
+  const auto rows = late->Poll();
+  ASSERT_EQ(rows.size(), 30u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].start(), static_cast<Timestamp>(50 + i));
+  }
+}
+
+TEST_F(EngineTest, SnapshotCountsQueuedRows) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  PushTrades(*writer, 7, 0);
+  const metadata::MetricsSnapshot snap = engine.Snapshot();
+  const auto* inlet = snap.FindNode("trades");
+  ASSERT_NE(inlet, nullptr);
+  EXPECT_EQ(inlet->elements_out, 7u);
+}
+
+TEST_F(EngineTest, PollReturnsWhileAnotherThreadIsInsidePump) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto pulled = engine.Register(kAvgQuery);
+  auto pushed = engine.Register(kMaxQuery);
+  ASSERT_TRUE(pulled.ok() && pushed.ok());
+  // The push-mode callback runs inside Pump, under the graph lock; once
+  // armed it holds the pump there until released.
+  std::atomic<bool> armed{false};
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  bool signalled = false;
+  ASSERT_TRUE(pushed
+                  ->OnResult([&](const QueryHandle::Element&) {
+                    if (!armed.load() || signalled) return;
+                    signalled = true;
+                    entered.set_value();
+                    released.wait();
+                  })
+                  .ok());
+
+  PushTrades(*writer, 30, 0);
+  engine.RunToCompletion();  // The pull-mode query now holds rows.
+  armed.store(true);
+  PushTrades(*writer, 30, 3000);
+  std::thread pumper([&] { engine.RunToCompletion(); });
+  entered.get_future().wait();
+
+  auto poll = std::async(std::launch::async, [&] { return pulled->Poll(); });
+  const bool prompt =
+      poll.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  pumper.join();
+  EXPECT_TRUE(prompt) << "Poll waited for the pump";
+  EXPECT_FALSE(poll.get().empty());
+}
+
+TEST_F(EngineTest, PollAfterCancelIsEmpty) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto handle = engine.Register(kPassQuery);
+  ASSERT_TRUE(handle.ok());
+  const QueryHandle copy = *handle;
+  PushTrades(*writer, 10, 0);
+  engine.RunToCompletion();
+  ASSERT_TRUE(handle->Cancel().ok());
+  EXPECT_TRUE(handle->Poll().empty());
+  EXPECT_TRUE(QueryHandle(copy).Poll().empty());
+  EXPECT_EQ(handle->results_delivered(), 10u);
+}
+
+TEST_F(EngineTest, WriterFillingTheFifoWithoutAPumpCompletes) {
+  // No pump thread: a writer that meets a full FIFO drains it itself.
+  constexpr int kRows = static_cast<int>(2 * Engine::kIngestBound) + 3;
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto handle = engine.Register(kPassQuery);
+  ASSERT_TRUE(handle.ok());
+  PushTrades(*writer, kRows, 0);
+  ASSERT_TRUE(writer->Close().ok());
+  engine.RunToCompletion();
+  const auto rows = handle->Poll();
+  ASSERT_EQ(rows.size(), static_cast<std::size_t>(kRows));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].start(), static_cast<Timestamp>(i * 100));
+  }
 }
 
 }  // namespace

@@ -218,7 +218,9 @@ TEST(EspbenchDimensions, OrdersAreSortedByStartAndInsideTheRun) {
   const std::vector<ProductionOrder> orders = GenerateOrders(options);
   ASSERT_EQ(orders.size(), 30u);
   for (std::size_t i = 0; i < orders.size(); ++i) {
-    if (i > 0) EXPECT_GE(orders[i].start, orders[i - 1].start);
+    if (i > 0) {
+      EXPECT_GE(orders[i].start, orders[i - 1].start);
+    }
     EXPECT_LT(orders[i].start, orders[i].due);
     EXPECT_GE(orders[i].machine, 0);
     EXPECT_LT(orders[i].machine, options.num_machines);
@@ -386,7 +388,9 @@ TEST(EspbenchCql, EventRowsAreOrderedAndMatchTheSchema) {
   ASSERT_FALSE(rows.empty());
   const relational::Schema schema = EspbenchEventSchema();
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0) EXPECT_LE(rows[i - 1].start(), rows[i].start());
+    if (i > 0) {
+      EXPECT_LE(rows[i - 1].start(), rows[i].start());
+    }
     ASSERT_EQ(rows[i].payload.arity(), schema.arity());
   }
 }

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/engine/engine.h"
@@ -248,6 +251,40 @@ TEST_F(ServerTest, TenantsAreIsolated) {
   // Both tenants are visible engine-side with their own counters.
   EXPECT_EQ(engine_->tenant_counters("alice").live, 1u);
   EXPECT_EQ(engine_->tenant_counters("bob").live, 0u);
+}
+
+TEST_F(ServerTest, FetchLoopBesideAFeederReceivesEveryRowInOrder) {
+  auto client = Client::Connect("127.0.0.1", server_->port(), "stream");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto registered =
+      client->Register("SELECT symbol, price FROM trades WHERE price > 0");
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+
+  // Enough rows that the writer meets a full ingest FIFO while the
+  // server's pump and this FETCH loop run beside it.
+  constexpr int kRows = 3 * static_cast<int>(engine::Engine::kIngestBound);
+  std::atomic<bool> fed{false};
+  std::thread feeder([&] {
+    Feed(kRows, 0);
+    fed.store(true);
+  });
+  std::vector<Client::Row> rows;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (rows.size() < static_cast<std::size_t>(kRows) &&
+         std::chrono::steady_clock::now() < deadline) {
+    auto fetched = client->Fetch(registered->query_id, 1024);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    rows.insert(rows.end(), fetched->begin(), fetched->end());
+  }
+  feeder.join();
+  EXPECT_TRUE(fed.load());
+  ASSERT_EQ(rows.size(), static_cast<std::size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_EQ(rows[static_cast<std::size_t>(i)].start,
+              static_cast<Timestamp>(i) * 100)
+        << "row " << i;
+  }
 }
 
 }  // namespace
