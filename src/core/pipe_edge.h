@@ -35,6 +35,12 @@
 ///
 /// Outside `Deliver()` a pipe only changes state and notifies its executor
 /// — it never calls downstream. That is the entire non-recursion argument.
+///
+/// A pipe whose subscribers are spread over several executors (a root of
+/// the engine's lanes, DESIGN.md §4g) is not delivered with `Deliver()`:
+/// each executor calls `DeliverTo` with its own nodes, reading the staged
+/// content without consuming it, and the pipe's owner `Recycle`s it once
+/// every one of them is done.
 
 namespace pipes {
 
@@ -103,6 +109,18 @@ class PipeBase {
   /// Called by the executor only; downstream operators invoked from here
   /// stage into their own pipes instead of recursing further.
   virtual std::size_t Deliver() = 0;
+
+  /// Delivers everything staged to the subscribers owned by one of the
+  /// `lane` nodes (sorted by address), in staging order, without consuming
+  /// it: the staged content stays put for the other lanes. Safe to call
+  /// from several threads at once for disjoint lanes. Returns the staged
+  /// unit count.
+  virtual std::size_t DeliverTo(std::span<Node* const> lane) const = 0;
+
+  /// Drops what `DeliverTo` calls delivered and returns to `Idle`, off the
+  /// ready queue, with the column capacity kept for the next staging.
+  /// Returns the number of units dropped.
+  virtual std::size_t Recycle() = 0;
 
   // --- Executor bookkeeping -------------------------------------------------
 
@@ -194,6 +212,8 @@ class Pipe final : public PipeBase {
   }
 
   std::size_t Deliver() override;
+  std::size_t DeliverTo(std::span<Node* const> lane) const override;
+  std::size_t Recycle() override;
 
  private:
   struct Entry {
@@ -202,6 +222,15 @@ class Pipe final : public PipeBase {
     ColumnarRun<T> run;
     Timestamp heartbeat = kMinTimestamp;
   };
+
+  /// Runs `entries` through the producer's subscriber loops (every
+  /// subscriber, or only `lane`'s).
+  void DeliverEntries(const std::vector<Entry>& entries,
+                      const std::span<Node* const>* lane) const;
+
+  /// Moves `entries` into the staging pool, column capacity intact, so
+  /// steady-state staging allocates nothing.
+  void ReleaseToPool(std::vector<Entry>& entries);
 
   /// Appends a fresh entry of `kind`, recycling pooled column capacity.
   Entry& PushEntry(typename Entry::Kind kind) {

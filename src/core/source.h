@@ -249,32 +249,43 @@ class Source : public Node {
                          trace::Hop::kEmit);
   }
 
-  // --- Staged delivery (called from Pipe<T>::Deliver) -----------------------
-  // Bookkeeping already happened at staging time; these only run the
-  // subscriber loops. The downstream operators they invoke stage into their
-  // own pipes, so the call depth is constant regardless of chain length.
-
-  void DeliverStagedRun(const ColumnarRun<T>& run) {
-    for (const Subscription& s : subscriptions_) {
-      s.port->ReceiveRun(s.slot, run);
-    }
-  }
-
-  void DeliverStagedHeartbeat(Timestamp t) {
-    for (const Subscription& s : subscriptions_) {
-      s.port->ReceiveHeartbeat(s.slot, t);
-    }
-  }
-
-  void DeliverStagedDone() {
-    for (const Subscription& s : subscriptions_) {
-      s.port->ReceiveDone(s.slot);
-    }
-  }
   struct Subscription {
     InputPort<T>* port;
     int slot;
   };
+
+  // --- Staged delivery (called from Pipe<T>::Deliver/DeliverTo) ------------
+  // Bookkeeping already happened at staging time; these only run the
+  // subscriber loops. The downstream operators they invoke stage into their
+  // own pipes, so the call depth is constant regardless of chain length.
+  // `lane` (sorted node addresses) restricts delivery to the subscribers
+  // those nodes own; nullptr delivers to every subscriber.
+
+  bool Serves(const Subscription& s, const std::span<Node* const>* lane) const {
+    return lane == nullptr ||
+           std::binary_search(lane->begin(), lane->end(),
+                              s.port->owner_node());
+  }
+
+  void DeliverStagedRun(const ColumnarRun<T>& run,
+                        const std::span<Node* const>* lane) {
+    for (const Subscription& s : subscriptions_) {
+      if (Serves(s, lane)) s.port->ReceiveRun(s.slot, run);
+    }
+  }
+
+  void DeliverStagedHeartbeat(Timestamp t,
+                              const std::span<Node* const>* lane) {
+    for (const Subscription& s : subscriptions_) {
+      if (Serves(s, lane)) s.port->ReceiveHeartbeat(s.slot, t);
+    }
+  }
+
+  void DeliverStagedDone(const std::span<Node* const>* lane) {
+    for (const Subscription& s : subscriptions_) {
+      if (Serves(s, lane)) s.port->ReceiveDone(s.slot);
+    }
+  }
 
   void EraseOneTopologyEdge(Node* down) {
     auto dit = std::find(downstream_.begin(), downstream_.end(), down);
@@ -315,26 +326,52 @@ std::size_t Pipe<T>::Deliver() {
   const std::size_t units = staged_units_;
   staged_units_ = 0;
   ResetToIdle();
-  for (Entry& entry : delivering_) {
+  DeliverEntries(delivering_, nullptr);
+  ReleaseToPool(delivering_);
+  return units;
+}
+
+template <typename T>
+std::size_t Pipe<T>::DeliverTo(std::span<Node* const> lane) const {
+  DeliverEntries(entries_, &lane);
+  return staged_units_;
+}
+
+template <typename T>
+std::size_t Pipe<T>::Recycle() {
+  const std::size_t units = staged_units_;
+  staged_units_ = 0;
+  ReleaseToPool(entries_);
+  ResetToIdle();
+  ClearInQueue();
+  return units;
+}
+
+template <typename T>
+void Pipe<T>::ReleaseToPool(std::vector<Entry>& entries) {
+  for (Entry& entry : entries) {
+    entry.run.clear();
+    pool_.push_back(std::move(entry));
+  }
+  entries.clear();
+}
+
+template <typename T>
+void Pipe<T>::DeliverEntries(const std::vector<Entry>& entries,
+                             const std::span<Node* const>* lane) const {
+  for (const Entry& entry : entries) {
     switch (entry.kind) {
       case Entry::kRun:
-        if (!entry.run.empty()) source_->DeliverStagedRun(entry.run);
-        entry.run.clear();
+        if (!entry.run.empty()) source_->DeliverStagedRun(entry.run, lane);
         break;
       case Entry::kHeartbeat:
-        source_->DeliverStagedHeartbeat(entry.heartbeat);
+        source_->DeliverStagedHeartbeat(entry.heartbeat, lane);
         break;
       case Entry::kDone:
-        source_->DeliverStagedDone();
+        source_->DeliverStagedDone(lane);
         break;
     }
   }
-  // Recycle the entries (column capacity intact) into the staging pool.
-  for (Entry& entry : delivering_) {
-    pool_.push_back(std::move(entry));
-  }
-  delivering_.clear();
-  return units;
 }
 
 }  // namespace pipes

@@ -1,17 +1,21 @@
 #include "src/engine/engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <span>
+#include <unordered_map>
 #include <utility>
+
+#include "src/core/metrics.h"
 
 namespace pipes::engine {
 
 // --- Result delivery ----------------------------------------------------------
 
-/// Pull-mode result queue of one query. The query's sink appends under the
-/// graph lock; `QueryHandle::Poll` drains it without that lock. Closing
-/// drops what is queued and makes later appends no-ops.
+/// Pull-mode result queue of one query. The query's sink appends from its
+/// lane's thread during a pump; `QueryHandle::Poll` drains it without the
+/// graph lock. Closing drops what is queued and makes later appends no-ops.
 class ResultOutbox {
  public:
   using Element = StreamElement<relational::Tuple>;
@@ -26,9 +30,19 @@ class ResultOutbox {
     if (!closed_) rows_.insert(rows_.end(), batch.begin(), batch.end());
   }
 
+  /// Materializes `run` before taking the lock, which a FETCH takes for
+  /// every Poll; under it the rows are only swapped or moved in.
   void Append(const ColumnarRun<relational::Tuple>& run) {
+    std::vector<Element> rows;  // Freed after the lock is released.
+    run.MaterializeTo(rows);
     std::lock_guard<std::mutex> lock(mu_);
-    if (!closed_) run.MaterializeTo(rows_);
+    if (closed_) return;
+    if (rows_.empty()) {
+      rows_.swap(rows);
+    } else {
+      rows_.insert(rows_.end(), std::make_move_iterator(rows.begin()),
+                   std::make_move_iterator(rows.end()));
+    }
   }
 
   std::vector<Element> Drain() {
@@ -53,9 +67,10 @@ class ResultOutbox {
 
 /// Terminal sink the engine wires onto every registered query's output.
 /// Pull mode appends to the query's outbox; push mode forwards each
-/// element to the handle's callback. Deliveries happen inside Pump and the
-/// callback is swapped by a locked handle method, so everything but the
-/// outbox is touched only with the graph lock held.
+/// element to the handle's callback. Deliveries happen on the query's lane
+/// inside Pump and the callback is swapped by a locked handle method, so
+/// everything but the outbox is touched by one thread at a time, while the
+/// graph lock is held.
 class Engine::ResultSink : public Sink<relational::Tuple> {
  public:
   using Element = StreamElement<relational::Tuple>;
@@ -133,25 +148,105 @@ Engine::Engine(EngineOptions options)
 }
 
 Engine::~Engine() {
+  StopWorkers();
   // Flush staged deliveries and detach before the graph goes away.
-  executor_.reset();
+  SuspendExecutorLocked();
 }
 
 std::string Engine::OutputGaugeName(const std::string& tenant) {
   return "engine.registered_output:" + tenant;
 }
 
+namespace {
+
+/// The engine's split of a graph (DESIGN.md §4g): the roots are the nodes
+/// without upstream; every other node belongs to the lane it forms with
+/// its non-root neighbours. Lanes come out in graph order of their first
+/// node.
+struct LaneSplit {
+  std::vector<Node*> roots;
+  std::vector<std::vector<Node*>> lanes;
+};
+
+LaneSplit SplitLanes(const std::vector<Node*>& nodes) {
+  LaneSplit split;
+  std::unordered_map<const Node*, std::size_t> index;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i]->upstream().empty()) {
+      split.roots.push_back(nodes[i]);
+    } else {
+      index.emplace(nodes[i], i);
+    }
+  }
+  std::vector<std::size_t> parent(nodes.size());
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const auto find = [&](std::size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  for (const auto& [node, i] : index) {
+    for (const std::vector<Node*>* edges :
+         {&node->upstream(), &node->downstream()}) {
+      for (const Node* other : *edges) {
+        auto it = index.find(other);
+        if (it != index.end()) parent[find(i)] = find(it->second);
+      }
+    }
+  }
+  std::unordered_map<std::size_t, std::size_t> lane_of;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!index.contains(nodes[i])) continue;
+    auto [it, fresh] = lane_of.emplace(find(i), split.lanes.size());
+    if (fresh) split.lanes.emplace_back();
+    split.lanes[it->second].push_back(nodes[i]);
+  }
+  return split;
+}
+
+/// Worker threads a round may use besides the caller: one per further
+/// lane, up to the hardware threads (EXPERIMENTS.md, "Lanes").
+std::size_t MaxLaneWorkers(std::size_t lanes) {
+  const std::size_t threads =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  return lanes == 0 ? 0 : std::min(lanes, threads) - 1;
+}
+
+}  // namespace
+
 void Engine::SuspendExecutorLocked() {
-  // The destructor drains every ready pipe (staged output only — it never
-  // polls sources), then detaches. This is the whole "mutate a live graph
-  // without quiescing it" protocol.
-  executor_.reset();
+  // Staged output only — nothing is polled: the lanes take the staged
+  // roots, their destructors drain every ready pipe and detach, and the
+  // roots are recycled and detached last. This is the whole "mutate a live
+  // graph without quiescing it" protocol.
+  if (roots_ == nullptr) return;
+  FeedStagedRootsLocked();
+  lanes_.clear();
+  for (PipeBase* root : staged_roots_) root->Recycle();
+  staged_roots_.clear();
+  roots_.reset();
 }
 
 void Engine::EnsureExecutorLocked() {
-  if (executor_ == nullptr) {
-    executor_ = std::make_unique<scheduler::PipeExecutor>(
-        graph_, strategy_, options_.batch_size);
+  if (roots_ != nullptr) return;
+  LaneSplit split = SplitLanes(graph_.nodes());
+  roots_ = std::make_unique<scheduler::PipeExecutor>(
+      std::move(split.roots), strategy_, options_.batch_size);
+  const std::span<Node* const> roots = roots_->nodes();
+  for (std::vector<Node*>& nodes : split.lanes) {
+    auto lane = std::make_unique<Lane>();
+    for (const Node* node : nodes) {
+      for (Node* up : node->upstream()) {
+        if (std::binary_search(roots.begin(), roots.end(), up)) {
+          lane->roots.push_back(up);
+        }
+      }
+    }
+    std::sort(lane->roots.begin(), lane->roots.end());
+    lane->roots.erase(std::unique(lane->roots.begin(), lane->roots.end()),
+                      lane->roots.end());
+    lane->executor = std::make_unique<scheduler::PipeExecutor>(
+        std::move(nodes), lane->strategy, options_.batch_size);
+    lanes_.push_back(std::move(lane));
   }
 }
 
@@ -687,8 +782,7 @@ std::uint64_t Engine::Pump(std::uint64_t max_steps) {
     // was pushed before they could run.
     DrainIngestLocked();
     AdmitPendingLocked();
-    EnsureExecutorLocked();
-    while (steps < max_steps && executor_->Step()) ++steps;
+    steps = RunLocked(max_steps).iterations;
   }
   --pumps_;
   return steps;
@@ -698,8 +792,150 @@ scheduler::RunStats Engine::RunToCompletion() {
   std::lock_guard<std::mutex> lock(mu_);
   DrainIngestLocked();
   AdmitPendingLocked();
+  return RunLocked(std::uint64_t{1} << 62);
+}
+
+scheduler::RunStats Engine::RunLocked(std::uint64_t max_steps) {
   EnsureExecutorLocked();
-  return executor_->RunToCompletion();
+  const auto total = [&] {
+    scheduler::RunStats sum = roots_->stats();
+    for (const std::unique_ptr<Lane>& lane : lanes_) {
+      const scheduler::RunStats& s = lane->executor->stats();
+      sum.units += s.units;
+      sum.peak_total_queue = std::max(sum.peak_total_queue, s.peak_total_queue);
+      sum.accumulated_queue += s.accumulated_queue;
+    }
+    return sum;
+  };
+  const scheduler::RunStats before = total();
+  round_helped_.store(false, std::memory_order_relaxed);
+  std::uint64_t steps = 0;
+  while (steps < max_steps) {
+    // Rounds leave every lane drained, so a root is polled only when no
+    // pipe anywhere is ready — exactly when one executor would poll.
+    const std::uint64_t round = RunRoundLocked();
+    if (round > 0) {
+      steps += round;
+    } else if (roots_->Poll()) {
+      ++steps;
+    } else {
+      break;
+    }
+  }
+  if (round_helped_.load(std::memory_order_relaxed)) ++parallel_pumps_;
+  scheduler::RunStats stats = total();
+  stats.iterations = steps;
+  stats.units -= before.units;
+  stats.accumulated_queue -= before.accumulated_queue;
+  return stats;
+}
+
+std::size_t Engine::FeedStagedRootsLocked() {
+  roots_->TakeReady(staged_roots_);
+  std::size_t rows = 0;
+  for (PipeBase* root : staged_roots_) {
+    rows += root->staged_units();
+    for (const std::unique_ptr<Lane>& lane : lanes_) {
+      if (std::binary_search(lane->roots.begin(), lane->roots.end(),
+                             root->producer())) {
+        lane->executor->Feed(root);
+      }
+    }
+  }
+  return rows;
+}
+
+void Engine::Lane::Run() {
+  const std::int64_t start = obs::SteadyNowNs();
+  round_steps = 0;
+  while (executor->Step()) ++round_steps;
+  busy_ns = obs::SteadyNowNs() - start;
+}
+
+std::uint64_t Engine::RunRoundLocked() {
+  const std::size_t rows = FeedStagedRootsLocked();
+  const std::size_t workers =
+      rows >= kParallelRows ? MaxLaneWorkers(lanes_.size()) : 0;
+  if (workers == 0) {
+    for (const std::unique_ptr<Lane>& lane : lanes_) lane->Run();
+  } else {
+    while (workers_.size() < workers) {
+      workers_.emplace_back([this] { LaneWorker(); });
+    }
+    std::stable_sort(lanes_.begin(), lanes_.end(),
+                     [](const std::unique_ptr<Lane>& a,
+                        const std::unique_ptr<Lane>& b) {
+                       return a->busy_ns > b->busy_ns;
+                     });
+    std::uint64_t begin;
+    std::uint64_t end;
+    {
+      std::lock_guard<std::mutex> lock(pool_mu_);
+      // Every earlier ticket is claimed, so the round starts at the next.
+      begin = round_begin_ = next_ticket_.load(std::memory_order_relaxed);
+      end = round_end_ = begin + lanes_.size();
+      lanes_done_.store(0, std::memory_order_relaxed);
+    }
+    round_cv_.notify_all();
+    ClaimLanes(begin, end, /*worker=*/false);
+    if (lanes_done_.load(std::memory_order_acquire) < end - begin) {
+      std::unique_lock<std::mutex> lock(pool_mu_);
+      done_cv_.wait(lock, [&] {
+        return lanes_done_.load(std::memory_order_acquire) == end - begin;
+      });
+    }
+  }
+  std::uint64_t steps = staged_roots_.size();
+  for (const std::unique_ptr<Lane>& lane : lanes_) steps += lane->round_steps;
+  for (PipeBase* root : staged_roots_) root->Recycle();
+  staged_roots_.clear();
+  return steps;
+}
+
+void Engine::ClaimLanes(std::uint64_t begin, std::uint64_t end, bool worker) {
+  std::uint64_t ticket = next_ticket_.load(std::memory_order_relaxed);
+  // A ticket at or past `end` belongs to a later round (or none): a worker
+  // that woke late must not take it, so claims never overshoot `end`.
+  while (ticket < end) {
+    if (!next_ticket_.compare_exchange_weak(ticket, ticket + 1,
+                                            std::memory_order_acq_rel)) {
+      continue;
+    }
+    lanes_[ticket - begin]->Run();
+    if (worker) round_helped_.store(true, std::memory_order_relaxed);
+    if (lanes_done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        end - begin) {
+      std::lock_guard<std::mutex> lock(pool_mu_);
+      done_cv_.notify_one();
+    }
+    ticket = next_ticket_.load(std::memory_order_relaxed);
+  }
+}
+
+void Engine::LaneWorker() {
+  std::uint64_t seen = 0;
+  for (;;) {
+    std::uint64_t begin;
+    std::uint64_t end;
+    {
+      std::unique_lock<std::mutex> lock(pool_mu_);
+      round_cv_.wait(lock, [&] { return stopping_ || round_end_ != seen; });
+      if (stopping_) return;
+      begin = round_begin_;
+      end = seen = round_end_;
+    }
+    ClaimLanes(begin, end, /*worker=*/true);
+  }
+}
+
+void Engine::StopWorkers() {
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    stopping_ = true;
+  }
+  round_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
 }
 
 bool Engine::WaitForInput(std::chrono::microseconds timeout) {
@@ -826,6 +1062,9 @@ EngineStats Engine::stats() const {
   stats.operators_reused = plan_manager_.total_operators_reused();
   stats.state_bytes = StateBytesLocked();
   stats.spilled_bytes = std::max(SpilledBytesLocked(), memory_.TotalDiskUsage());
+  stats.lanes = lanes_.size();
+  if (roots_ == nullptr) stats.lanes = SplitLanes(graph_.nodes()).lanes.size();
+  stats.parallel_pumps = parallel_pumps_;
   return stats;
 }
 

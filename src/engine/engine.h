@@ -11,6 +11,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -42,8 +43,8 @@
 /// Threading: every public entry point is safe to call from any thread.
 /// Three locks keep ingest, processing and result delivery overlapping:
 ///
-/// - The *graph lock* guards the graph, catalog, plan manager and executor.
-///   Registration, cancellation, pumping and snapshots take it.
+/// - The *graph lock* guards the graph, catalog, plan manager and
+///   executors. Registration, cancellation, pumping and snapshots take it.
 /// - The *ingest lock* guards one engine-wide FIFO of pushes, heartbeats
 ///   and closes. `StreamWriter` appends to it without the graph lock; its
 ///   order and closed checks run at enqueue time, so errors stay
@@ -57,8 +58,24 @@
 ///   `QueryHandle::Poll` never waits for a pump.
 ///
 /// Lock order is graph → ingest and graph → outbox; the ingest and outbox
-/// locks are never held together. Result callbacks fire while the graph
-/// lock is held — do not call back into the engine from inside one.
+/// locks are never held together.
+///
+/// Lanes (DESIGN.md §4g): the graph splits into *roots* (inlets and every
+/// other node without upstream) and *lanes*, the weakly connected
+/// components left once the roots are removed — one per independent query
+/// or group of queries sharing operators. Each lane has its own
+/// `PipeExecutor`. A `Pump` is one fork-join under the graph lock: the
+/// calling thread drains the FIFO into the roots and polls active roots;
+/// each lane then delivers the roots' staged runs to its own subscribers
+/// and drains its own pipes, on the caller or on a worker of a pool the
+/// engine starts at the first pump big enough to split
+/// (min(lanes, hardware threads) − 1 workers); the caller recycles the
+/// root runs once every lane has joined. So a lane sees its inputs in the
+/// order one executor would have delivered them, and nothing outlives the
+/// `Pump` call. Result callbacks run on the lane's thread while the
+/// pumping thread holds the graph lock — do not call back into the engine
+/// from inside one. Callbacks of *different* queries may run concurrently;
+/// one query's callback never runs concurrently with itself.
 ///
 /// Graph mutation protocol: subscriptions must not change while a
 /// `PipeExecutor` is attached, so the engine suspends the executor around
@@ -145,6 +162,10 @@ struct EngineStats {
   std::size_t operators_reused = 0;   ///< PlanManager total.
   std::size_t state_bytes = 0;        ///< Summed ApproxMemoryBytes (RAM).
   std::size_t spilled_bytes = 0;      ///< Disk tier: summed Node spill.
+  std::size_t lanes = 0;  ///< Lanes of the current graph (file comment).
+  /// Pump/RunToCompletion calls in which a worker ran at least one lane
+  /// beside the calling thread.
+  std::uint64_t parallel_pumps = 0;
 };
 
 /// An externally fed tuple source: host code pushes elements in, the graph
@@ -223,8 +244,9 @@ class QueryHandle {
   std::vector<Element> Poll();
 
   /// Switches to push mode: `callback` fires for every result from the
-  /// next pump on (with the engine lock held — do not re-enter the
-  /// engine). Pass nullptr to return to pull mode.
+  /// next pump on, on the query's lane thread while the pumping thread
+  /// holds the engine lock — do not re-enter the engine. Never entered
+  /// concurrently for one query. Pass nullptr to return to pull mode.
   Status OnResult(Callback callback);
 
   /// Total results this query has delivered (either mode).
@@ -334,6 +356,11 @@ class Engine {
   /// Most entries the ingest FIFO holds before writers wait for a pump.
   static constexpr std::size_t kIngestBound = 4096;
 
+  /// Fewest rows staged at the roots for which a pump round hands lanes to
+  /// the worker pool; smaller rounds run every lane on the calling thread
+  /// (EXPERIMENTS.md, "Lanes").
+  static constexpr std::size_t kParallelRows = 1024;
+
   // --- Observability --------------------------------------------------------
 
   /// Whole-graph snapshot (memory gauges included).
@@ -423,8 +450,23 @@ class Engine {
       const analysis::StateCertificate* certificate = nullptr) const;
   std::size_t StateBytesLocked() const;
   std::size_t SpilledBytesLocked() const;
+  /// Flushes staged output through the lanes and detaches every executor.
   void SuspendExecutorLocked();
+  /// Splits the graph into roots and lanes and attaches their executors.
   void EnsureExecutorLocked();
+  /// Pump rounds until `max_steps` steps are taken or nothing has work.
+  scheduler::RunStats RunLocked(std::uint64_t max_steps);
+  /// Hands every staged root pipe, in order, to the lanes subscribing to
+  /// it. Returns the rows staged.
+  std::size_t FeedStagedRootsLocked();
+  /// One fork-join: feeds the staged roots to their lanes, runs every lane
+  /// until its pipes are drained, recycles the roots. Returns steps taken.
+  std::uint64_t RunRoundLocked();
+  /// Runs lane tickets [begin, end) until none is left to claim; `worker`
+  /// marks the round as run on more than one thread. No lock held.
+  void ClaimLanes(std::uint64_t begin, std::uint64_t end, bool worker);
+  void LaneWorker();
+  void StopWorkers();
   Result<std::vector<std::uint64_t>> QueryNodeIdsLocked(
       std::uint64_t query_id) const;
   static std::string OutputGaugeName(const std::string& tenant);
@@ -454,7 +496,42 @@ class Engine {
   memory::MemoryManager memory_;
   optimizer::PlanManager plan_manager_;
   scheduler::RoundRobinStrategy strategy_;
-  std::unique_ptr<scheduler::PipeExecutor> executor_;
+
+  /// One lane: an executor over one weakly connected component of the
+  /// graph without its roots. Touched by one thread at a time: the caller
+  /// between rounds, the thread that claimed it during one.
+  struct Lane {
+    scheduler::RoundRobinStrategy strategy;
+    std::unique_ptr<scheduler::PipeExecutor> executor;
+    std::vector<Node*> roots;  ///< The roots it subscribes to, sorted.
+    /// Steps and wall time of its last round. Parallel rounds claim the
+    /// costliest lanes first, so the longest starts on the caller at once.
+    std::uint64_t round_steps = 0;
+    std::int64_t busy_ns = 0;
+
+    /// Delivers what was fed and drains the lane's own pipes.
+    void Run();
+  };
+  /// The caller's executor over the roots: it owns their pipes and polls
+  /// the active ones. Null while suspended, like `lanes_`.
+  std::unique_ptr<scheduler::PipeExecutor> roots_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<PipeBase*> staged_roots_;  ///< The current round's roots.
+  std::uint64_t parallel_pumps_ = 0;
+
+  /// The lane worker pool, started at the first round that splits. A round
+  /// owns the lane tickets [round_begin_, round_end_); each thread claims
+  /// the next one from `next_ticket_` and runs lane `ticket - begin`.
+  std::vector<std::thread> workers_;
+  std::mutex pool_mu_;  ///< Guards the round bounds and `stopping_`.
+  std::condition_variable round_cv_;  ///< A round was published, or stop.
+  std::condition_variable done_cv_;   ///< The round's last lane finished.
+  std::uint64_t round_begin_ = 0;
+  std::uint64_t round_end_ = 0;
+  bool stopping_ = false;
+  std::atomic<std::uint64_t> next_ticket_{0};
+  std::atomic<std::uint64_t> lanes_done_{0};
+  std::atomic<bool> round_helped_{false};
 
   /// Changed under both locks, so either one suffices to read it.
   std::vector<std::unique_ptr<Inlet>> inlets_;

@@ -1,17 +1,19 @@
 #include "src/scheduler/executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/macros.h"
 #include "src/core/metrics.h"
 
 namespace pipes::scheduler {
 
-PipeExecutor::PipeExecutor(QueryGraph& graph, Strategy& strategy,
+PipeExecutor::PipeExecutor(std::vector<Node*> nodes, Strategy& strategy,
                            std::size_t batch_size)
-    : graph_(graph), strategy_(strategy), batch_size_(batch_size) {
+    : strategy_(strategy), batch_size_(batch_size), nodes_(std::move(nodes)) {
   PIPES_CHECK(batch_size > 0);
-  for (Node* node : graph_.nodes()) {
+  for (Node* node : nodes_) {
+    if (node->is_active()) active_.push_back(node);
     PipeBase* pipe = node->AttachExecutor(this);
     if (pipe != nullptr) {
       pipes_.push_back(pipe);
@@ -21,23 +23,24 @@ PipeExecutor::PipeExecutor(QueryGraph& graph, Strategy& strategy,
       if (pipe->HasStaged()) PipeReady(pipe);
     }
   }
+  std::sort(nodes_.begin(), nodes_.end());
 }
 
 PipeExecutor::~PipeExecutor() {
   // Deliver any leftover supply (e.g. an aborted run) so detach sees
   // drained pipes, then restore direct delivery.
-  while (!ready_.empty()) {
-    PipeBase* pipe = ready_.front();
-    ready_.pop_front();
-    pipe->ClearInQueue();
-    pipe->Deliver();
-  }
+  while (!ready_.empty()) Step();
   for (Node* node : attached_) {
     node->DetachExecutor();
   }
 }
 
 void PipeExecutor::PipeReady(PipeBase* pipe) { ready_.push_back(pipe); }
+
+void PipeExecutor::TakeReady(std::vector<PipeBase*>& out) {
+  out.assign(ready_.begin(), ready_.end());
+  ready_.clear();
+}
 
 bool PipeExecutor::AllPipesIdle() const {
   return std::all_of(pipes_.begin(), pipes_.end(), [](const PipeBase* p) {
@@ -46,43 +49,44 @@ bool PipeExecutor::AllPipesIdle() const {
 }
 
 bool PipeExecutor::Step() {
-  if (!ready_.empty()) {
-    PipeBase* pipe = ready_.front();
-    ready_.pop_front();
-    pipe->ClearInQueue();
-    ++deliver_nesting_;
-    max_deliver_nesting_ = std::max(max_deliver_nesting_, deliver_nesting_);
-    std::size_t units;
-    if (profiler_ != nullptr) {
-      const std::int64_t t0 = obs::SteadyNowNs();
-      units = pipe->Deliver();
-      const std::int64_t t1 = obs::SteadyNowNs();
-      profiler_->RecordQuantum(*pipe->producer(), 1, units,
-                               static_cast<std::uint64_t>(t1 - t0));
-    } else {
-      units = pipe->Deliver();
-    }
-    --deliver_nesting_;
-    stats_.units += units;
-    ++stats_.iterations;
-    return true;
+  if (ready_.empty()) return Poll();
+  PipeBase* pipe = ready_.front();
+  ready_.pop_front();
+  // A fed pipe belongs to another executor: deliver to this one's nodes
+  // and leave the staged content to its owner.
+  const bool own =
+      std::binary_search(nodes_.begin(), nodes_.end(), pipe->producer());
+  if (own) pipe->ClearInQueue();
+  ++deliver_nesting_;
+  max_deliver_nesting_ = std::max(max_deliver_nesting_, deliver_nesting_);
+  const std::int64_t t0 = profiler_ != nullptr ? obs::SteadyNowNs() : 0;
+  const std::size_t units = own ? pipe->Deliver() : pipe->DeliverTo(nodes_);
+  if (profiler_ != nullptr) {
+    profiler_->RecordQuantum(*pipe->producer(), 1, units,
+                             static_cast<std::uint64_t>(obs::SteadyNowNs() - t0));
   }
+  --deliver_nesting_;
+  stats_.units += units;
+  ++stats_.iterations;
+  return true;
+}
 
-  // No ready pipe: poll an active node for fresh supply, mirroring
-  // SingleThreadScheduler's candidate collection and queue accounting.
-  std::vector<Node*> candidates;
+bool PipeExecutor::Poll() {
+  // Mirrors SingleThreadScheduler's candidate collection and queue
+  // accounting.
+  candidates_.clear();
   std::size_t total_queue = 0;
-  for (Node* node : graph_.ActiveNodes()) {
+  for (Node* node : active_) {
     total_queue += node->queue_size();
-    if (node->HasWork()) candidates.push_back(node);
+    if (node->HasWork()) candidates_.push_back(node);
   }
   stats_.peak_total_queue = std::max(stats_.peak_total_queue, total_queue);
   stats_.accumulated_queue += total_queue;
-  if (candidates.empty()) return false;
+  if (candidates_.empty()) return false;
 
-  const std::size_t pick = strategy_.Select(candidates);
-  PIPES_CHECK(pick < candidates.size());
-  Node* chosen = candidates[pick];
+  const std::size_t pick = strategy_.Select(candidates_);
+  PIPES_CHECK(pick < candidates_.size());
+  Node* chosen = candidates_[pick];
   // Idle → Request on the polled node's pipe (if it owns one); staging
   // flips it to Supply and enqueues it.
   PipeBase* pipe = nullptr;
@@ -93,16 +97,13 @@ bool PipeExecutor::Step() {
     }
   }
   if (pipe != nullptr) pipe->MarkPolled();
+  const std::int64_t t0 = profiler_ != nullptr ? obs::SteadyNowNs() : 0;
+  const std::size_t units = chosen->DoWork(batch_size_);
   if (profiler_ != nullptr) {
-    const std::int64_t t0 = obs::SteadyNowNs();
-    const std::size_t units = chosen->DoWork(batch_size_);
-    const std::int64_t t1 = obs::SteadyNowNs();
-    profiler_->RecordQuantum(*chosen, candidates.size(), units,
-                             static_cast<std::uint64_t>(t1 - t0));
-    stats_.units += units;
-  } else {
-    stats_.units += chosen->DoWork(batch_size_);
+    profiler_->RecordQuantum(*chosen, candidates_.size(), units,
+                             static_cast<std::uint64_t>(obs::SteadyNowNs() - t0));
   }
+  stats_.units += units;
   if (pipe != nullptr) pipe->MarkPollDone();
   ++stats_.iterations;
   return true;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "src/core/graph.h"
@@ -31,6 +32,11 @@
 /// Delivery order is deterministic (FIFO over ready pipes, strategy over
 /// active nodes), so runs are reproducible and the fuzzer's differential
 /// oracles can compare this driver against the recursive reference.
+///
+/// An executor can also drive a subset of a graph: the engine runs one per
+/// *lane* (DESIGN.md §4g) plus one over the lanes' roots. A root's staged
+/// pipe is `Feed`-ed to every lane that subscribes to it and delivered, in
+/// the lane's FIFO order, to that lane's subscribers only.
 
 namespace pipes::scheduler {
 
@@ -40,6 +46,13 @@ class PipeExecutor : public ExecutorLink {
   /// Attaches to every node of `graph`. `batch_size` is the max work units
   /// per DoWork poll (Aurora-style train size), as in the schedulers.
   PipeExecutor(QueryGraph& graph, Strategy& strategy,
+               std::size_t batch_size = 64)
+      : PipeExecutor(graph.nodes(), strategy, batch_size) {}
+
+  /// Attaches to `nodes` only; polling considers only their active nodes.
+  /// Nodes outside the set keep direct delivery unless another executor
+  /// attaches to them.
+  PipeExecutor(std::vector<Node*> nodes, Strategy& strategy,
                std::size_t batch_size = 64);
 
   /// Detaches (pipes are destroyed; direct delivery is restored).
@@ -52,6 +65,22 @@ class PipeExecutor : public ExecutorLink {
   /// quantum on a strategy-selected active node. Returns false when neither
   /// is possible (graph drained, or an external source still owes input).
   bool Step();
+
+  /// One DoWork quantum on a strategy-selected active node, ready pipes or
+  /// not. Returns false when no active node has work.
+  bool Poll();
+
+  /// Queues `pipe`, which another executor owns, behind this executor's
+  /// ready pipes. `Step` delivers it with `DeliverTo(nodes())`, leaving the
+  /// staged content for its owner to `Recycle`.
+  void Feed(PipeBase* pipe) { ready_.push_back(pipe); }
+
+  /// Moves the ready queue into `out`, in order. The pipes stay marked
+  /// queued, so they are not announced again until `Recycle`d.
+  void TakeReady(std::vector<PipeBase*>& out);
+
+  /// The nodes this executor attached to, sorted by address.
+  std::span<Node* const> nodes() const { return nodes_; }
 
   /// Runs until the graph is drained and every pipe is idle, or
   /// `max_iterations` steps were taken.
@@ -76,12 +105,17 @@ class PipeExecutor : public ExecutorLink {
   /// ExecutorLink: a pipe turned Supply — enqueue it (nothing else).
   void PipeReady(PipeBase* pipe) override;
 
-  QueryGraph& graph_;
   Strategy& strategy_;
   std::size_t batch_size_;
   RunStats stats_;
   Profiler* profiler_ = nullptr;
 
+  /// Every node of the executor, sorted by address.
+  std::vector<Node*> nodes_;
+  /// The active ones, in the order given at construction.
+  std::vector<Node*> active_;
+  /// Scratch for `Poll`: the active nodes with work.
+  std::vector<Node*> candidates_;
   /// Every pipe attached at construction, for detach and idle checks.
   std::vector<PipeBase*> pipes_;
   /// Nodes that returned a pipe, for detach.

@@ -2,9 +2,10 @@
 // shared prefixes (the E5 flat-operator-count property), cancel-during-flow
 // correctness against a single-query reference run (multiset-exact),
 // admission control (reject and queue policies), per-tenant isolation of
-// snapshots and counters, concurrent registration, and the ingest FIFO and
-// result outboxes that let writers, pollers and the pump overlap (the
-// concurrency cases are exercised under TSAN in the sanitizer CI job).
+// snapshots and counters, concurrent registration, the ingest FIFO and
+// result outboxes that let writers, pollers and the pump overlap, and the
+// lanes a pump runs in parallel (the concurrency cases are exercised under
+// TSAN in the sanitizer CI job).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,11 @@
 
 #include "src/core/generator_source.h"
 #include "src/core/pipeline.h"
+#include "src/cql/analyzer.h"
 #include "src/engine/engine.h"
+#include "src/testing/conformance.h"
+#include "src/workloads/espbench.h"
+#include "src/workloads/espbench_cql.h"
 
 namespace pipes::engine {
 namespace {
@@ -793,6 +798,146 @@ TEST_F(EngineTest, WriterFillingTheFifoWithoutAPumpCompletes) {
   ASSERT_EQ(rows.size(), static_cast<std::size_t>(kRows));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     ASSERT_EQ(rows[i].start(), static_cast<Timestamp>(i * 100));
+  }
+}
+
+// --- Lanes --------------------------------------------------------------------
+
+/// The ESPBench feeds of a 30 s run (about 15k events), with overloads
+/// so the alerting queries have rows.
+struct EspbenchFeeds {
+  std::vector<StreamElement<Tuple>> events;
+  std::vector<StreamElement<Tuple>> machines;
+  std::vector<StreamElement<Tuple>> orders;
+};
+
+EspbenchFeeds MakeEspbenchFeeds() {
+  workloads::EspbenchOptions esp;
+  esp.seed = 1;
+  esp.duration_ms = 30'000;
+  for (Timestamp t = 1000; t + 1000 < esp.duration_ms; t += 3000) {
+    esp.overloads.push_back({t, t + 1000, t / 3000 % esp.num_machines, 2.0});
+  }
+  return {workloads::EspbenchEventRows(esp),
+          workloads::EspbenchMachineRows(workloads::GenerateMachines(esp)),
+          workloads::EspbenchOrderRows(workloads::GenerateOrders(esp))};
+}
+
+/// An engine serving the ESPBench catalog over inlets, as the served
+/// benchmark sets it up: queries first, then the closed dimensions.
+class EspbenchLanes : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto events = engine_.AddStream("events", workloads::EspbenchEventSchema());
+    auto machines =
+        engine_.AddStream("machines", workloads::EspbenchMachineSchema());
+    auto orders = engine_.AddStream("orders", workloads::EspbenchOrderSchema());
+    ASSERT_TRUE(events.ok() && machines.ok() && orders.ok());
+    events_ = *events;
+    for (const workloads::EspbenchCqlQuery& q :
+         workloads::EspbenchCqlCatalog()) {
+      auto handle = engine_.Register(q.text);
+      ASSERT_TRUE(handle.ok()) << q.name << ": " << handle.status().ToString();
+      handles_.push_back(*handle);
+    }
+    for (const auto& row : feeds_.machines) ASSERT_TRUE(machines->Push(row).ok());
+    ASSERT_TRUE(machines->Close().ok());
+    for (const auto& row : feeds_.orders) ASSERT_TRUE(orders->Push(row).ok());
+    ASSERT_TRUE(orders->Close().ok());
+    engine_.Pump();
+  }
+
+  /// Pushes the events in chunks just big enough for a pump to split the
+  /// lanes over threads, pumping after each, then closes and drains.
+  void FeedEvents() {
+    constexpr std::size_t kChunk = Engine::kParallelRows;
+    for (std::size_t i = 0; i < feeds_.events.size(); ++i) {
+      ASSERT_TRUE(events_.Push(feeds_.events[i]).ok());
+      if (i % kChunk == kChunk - 1) engine_.Pump();
+    }
+    ASSERT_TRUE(events_.Close().ok());
+    engine_.RunToCompletion();
+  }
+
+  static bool Multicore() { return std::thread::hardware_concurrency() >= 2; }
+
+  const EspbenchFeeds feeds_ = MakeEspbenchFeeds();
+  Engine engine_;
+  StreamWriter events_;
+  std::vector<QueryHandle> handles_;
+};
+
+TEST_F(EspbenchLanes, CatalogSplitsIntoOneLanePerQuery) {
+  const EngineStats stats = engine_.stats();
+  EXPECT_EQ(stats.lanes, 5u);
+  EXPECT_EQ(stats.parallel_pumps, 0u) << "set-up pumps must run inline";
+}
+
+TEST_F(EngineTest, QueriesSharingASubplanShareALane) {
+  Engine engine;
+  ASSERT_TRUE(AddTrades(engine).ok());
+  auto avg = engine.Register(kAvgQuery);
+  ASSERT_TRUE(avg.ok());
+  EXPECT_EQ(engine.stats().lanes, 1u);
+  const std::size_t created = engine.stats().operators_created;
+  // Same window and filter: the plan manager grafts MAX onto AVG's prefix.
+  ASSERT_TRUE(engine.Register(kMaxQuery).ok());
+  ASSERT_GT(engine.stats().operators_reused, 0u);
+  EXPECT_GT(engine.stats().operators_created, created);
+  EXPECT_EQ(engine.stats().lanes, 1u);
+  // A query sharing nothing but the inlet gets a lane of its own.
+  auto pass = engine.Register(kPassQuery);
+  ASSERT_TRUE(pass.ok());
+  EXPECT_EQ(engine.stats().lanes, 2u);
+  ASSERT_TRUE(pass->Cancel().ok());
+  EXPECT_EQ(engine.stats().lanes, 1u);
+}
+
+TEST_F(EspbenchLanes, ParallelPumpsMatchTheConformanceReference) {
+  if (!Multicore()) GTEST_SKIP() << "lanes run in parallel only on >= 2 cores";
+  FeedEvents();
+  EXPECT_GT(engine_.stats().parallel_pumps, 0u);
+
+  namespace conf = testing::conformance;
+  conf::Corpus corpus;
+  corpus.streams = {
+      {"events", workloads::EspbenchEventSchema(), feeds_.events},
+      {"machines", workloads::EspbenchMachineSchema(), feeds_.machines},
+      {"orders", workloads::EspbenchOrderSchema(), feeds_.orders}};
+  const auto& catalog = workloads::EspbenchCqlCatalog();
+  for (std::size_t q = 0; q < catalog.size(); ++q) {
+    auto compiled = cql::Compile(catalog[q].text, engine_.catalog());
+    ASSERT_TRUE(compiled.ok()) << catalog[q].name;
+    auto reference = conf::ReferenceEval(compiled->plan, corpus);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    const conf::IntervalTable want = conf::Canonicalize(*reference);
+    const conf::IntervalTable got = conf::Canonicalize(
+        {handles_[q].schema(), handles_[q].Poll()});
+    ASSERT_FALSE(want.rows.empty()) << catalog[q].name;
+    EXPECT_EQ(conf::RenderTable(got), conf::RenderTable(want))
+        << catalog[q].name;
+  }
+}
+
+TEST_F(EspbenchLanes, PushCallbacksNeverOverlapForOneQuery) {
+  constexpr std::size_t kQueries = 5;
+  std::atomic<int> inside[kQueries] = {};
+  std::atomic<std::uint64_t> results[kQueries] = {};
+  std::atomic<int> overlaps{0};
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    ASSERT_TRUE(handles_[q]
+                    .OnResult([&, q](const QueryHandle::Element&) {
+                      if (inside[q].fetch_add(1) != 0) ++overlaps;
+                      results[q].fetch_add(1);
+                      inside[q].fetch_sub(1);
+                    })
+                    .ok());
+  }
+  FeedEvents();
+  EXPECT_EQ(overlaps.load(), 0);
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    EXPECT_GT(results[q].load(), 0u) << q;
+    EXPECT_EQ(results[q].load(), handles_[q].results_delivered()) << q;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -413,8 +414,12 @@ TEST(ObservabilityTest, SnapshotWhileThreadSchedulerRuns) {
   scheduler::Profiler profiler;
   driver.set_profiler(&profiler);
 
+  // The run starts only once the capture loop below has taken its first
+  // capture, so even a run that finishes at once is captured mid-flight.
+  std::latch first_capture(1);
   std::atomic<bool> done{false};
   std::thread runner([&] {
+    first_capture.wait();
     driver.RunToCompletion();
     done.store(true, std::memory_order_release);
   });
@@ -425,7 +430,7 @@ TEST(ObservabilityTest, SnapshotWhileThreadSchedulerRuns) {
   std::uint64_t captures = 0;
   while (!done.load(std::memory_order_acquire)) {
     const metadata::MetricsSnapshot snap = metadata::CaptureSnapshot(graph);
-    ++captures;
+    if (++captures == 1) first_capture.count_down();
     for (const metadata::NodeSnapshot& n : snap.nodes) {
       const metadata::NodeSnapshot* p = prev.FindNode(n.id);
       ASSERT_NE(p, nullptr);

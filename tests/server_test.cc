@@ -287,5 +287,89 @@ TEST_F(ServerTest, FetchLoopBesideAFeederReceivesEveryRowInOrder) {
   }
 }
 
+TEST_F(ServerTest, ControlFramesRunBesideAPumpThatSplitsLanes) {
+  // Three queries sharing only the inlet: three lanes for the pump to run
+  // on the worker pool while other connections register, cancel, snapshot
+  // and fetch.
+  auto client = Client::Connect("127.0.0.1", server_->port(), "lanes");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto pass =
+      client->Register("SELECT symbol, price FROM trades WHERE price > 0");
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  ASSERT_TRUE(client
+                  ->Register("SELECT symbol, AVG(price) AS a FROM trades "
+                             "[RANGE 1 SECONDS SLIDE 1 SECONDS] GROUP BY symbol")
+                  .ok());
+  ASSERT_TRUE(client
+                  ->Register("SELECT symbol, COUNT(*) AS n FROM trades "
+                             "[RANGE 2 SECONDS SLIDE 1 SECONDS] GROUP BY symbol")
+                  .ok());
+  ASSERT_GE(engine_->stats().lanes, 3u);
+
+  // Rows go in chunks until some pump has run lanes in parallel (at least
+  // three chunks; one chunk fills the ingest FIFO).
+  constexpr int kChunk = static_cast<int>(engine::Engine::kIngestBound);
+  const bool multicore = std::thread::hardware_concurrency() >= 2;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::atomic<int> total{0};
+  std::atomic<bool> fed{false};
+  std::thread feeder([&] {
+    for (int chunk = 0;; ++chunk) {
+      Feed(kChunk, static_cast<Timestamp>(chunk) * kChunk * 100);
+      total.fetch_add(kChunk);
+      if (chunk >= 2 &&
+          (!multicore || engine_->stats().parallel_pumps > 0 ||
+           std::chrono::steady_clock::now() > deadline)) {
+        break;
+      }
+    }
+    fed.store(true);
+  });
+  std::atomic<int> failures{0};
+  std::thread churn([&] {
+    auto other = Client::Connect("127.0.0.1", server_->port(), "churn");
+    if (!other.ok()) {
+      ++failures;
+      return;
+    }
+    while (!fed.load()) {
+      auto r = other->Register(
+          "SELECT symbol, MAX(price) AS high FROM trades "
+          "[RANGE 1 SECONDS SLIDE 1 SECONDS] GROUP BY symbol");
+      if (!r.ok() || !other->Cancel(r->query_id).ok()) ++failures;
+    }
+  });
+  std::thread snapshots([&] {
+    auto other = Client::Connect("127.0.0.1", server_->port(), "watch");
+    if (!other.ok()) {
+      ++failures;
+      return;
+    }
+    while (!fed.load()) {
+      if (!other->SnapshotJson(/*whole_graph=*/true).ok()) ++failures;
+    }
+  });
+
+  std::vector<Client::Row> rows;
+  while ((!fed.load() || rows.size() < static_cast<std::size_t>(total.load())) &&
+         std::chrono::steady_clock::now() < deadline + std::chrono::seconds(30)) {
+    auto fetched = client->Fetch(pass->query_id, 1024);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    rows.insert(rows.end(), fetched->begin(), fetched->end());
+  }
+  feeder.join();
+  churn.join();
+  snapshots.join();
+  EXPECT_EQ(failures.load(), 0);
+  if (multicore) {
+    EXPECT_GT(engine_->stats().parallel_pumps, 0u);
+  }
+  ASSERT_EQ(rows.size(), static_cast<std::size_t>(total.load()));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].start, static_cast<Timestamp>(i) * 100) << "row " << i;
+  }
+}
+
 }  // namespace
 }  // namespace pipes::server
